@@ -1,9 +1,11 @@
 //! Continuous benchmark for the event-engine hot path.
 //!
 //! Runs the fig4 sweep shape serially (each rps point with and without
-//! cross-layer optimization), counts events processed per event-loop
-//! wall-clock second, and writes `BENCH_engine.json` to the artifact
-//! directory so the perf trajectory is tracked across PRs.
+//! cross-layer optimization), takes event-loop wall-clock per simulated
+//! packet-hop — the model fixes the packet-hops of a run, an engine is
+//! free to spend fewer events on them — and writes `BENCH_engine.json`
+//! to the artifact directory so the perf trajectory is tracked across
+//! PRs.
 //!
 //! Flags:
 //! - `--smoke`: short CI run (2 sim-seconds, reduced point set) unless
@@ -11,15 +13,18 @@
 //! - `--threads 1,2,4,8`: thread-scaling mode — repeat the sweep at each
 //!   engine thread count and emit per-count `scaling` rows with a
 //!   `speedup_vs_1t` column (1 is always included; the headline
-//!   events/sec stays the 1-thread figure).
-//! - `--gate <baseline.json>`: exit non-zero if 1-thread events/sec
-//!   regresses more than 20 % below the checked-in baseline report.
+//!   ns/packet-hop stays the 1-thread figure).
+//! - `--gate <baseline.json>`: exit non-zero if, over the runs the
+//!   checked-in baseline also has (same rps, optimization and length),
+//!   1-thread host ns per packet-hop exceeds 1.25x the baseline's, or
+//!   the deterministic events per packet-hop moved by more than 1 %.
 //! - `--profile <trace.json>`: phase-profile every run and write one
 //!   Chrome trace-event file (load at ui.perfetto.dev): per-window
 //!   drain/barrier/commit spans, per-worker drain lanes, plus a
 //!   measured serial-fraction/Amdahl summary per thread count.
 //! - `--overhead-check`: paired 1-thread smoke — fail (exit 1) if the
-//!   profiled run's events/sec drops below 95 % of the unprofiled run's.
+//!   profiled run's speed drops below 95 % of the unprofiled run's
+//!   (whose loop reads no clock at all).
 //! - `--topo 100,250,1000`: pod counts for the topology-scale axis —
 //!   one generated zonal fabric per count, driven at 10⁵ RPS (2·10⁴
 //!   under `--smoke`), emitted as `topo_scale` rows. Defaults to
@@ -38,45 +43,97 @@ use meshlayer_bench::{
 };
 use meshlayer_core::XLayerConfig;
 
-/// Fraction of baseline events/sec below which the gate fails.
-const GATE_FLOOR: f64 = 0.8;
+/// Multiple of the baseline's host ns per packet-hop above which the
+/// gate fails.
+const GATE_CEILING: f64 = 1.25;
+
+/// Relative drift of events per packet-hop beyond which the gate fails.
+/// The figure is deterministic, so any drift is a change to the engine's
+/// event diet (or to the model): deliberate ones regenerate the baseline.
+const EVENTS_TOLERANCE: f64 = 0.01;
 
 /// Multiple of the baseline peak RSS above which a topology-scale row
 /// fails the gate (memory is as much the scale story as throughput).
 const RSS_CEILING: f64 = 1.2;
 
-/// Fraction of unprofiled throughput the profiled run must keep
+/// Fraction of unprofiled speed the profiled run must keep
 /// (`--overhead-check`): phase timing is meant to be low-overhead.
 const OVERHEAD_FLOOR: f64 = 0.95;
 
-/// Paired smoke comparing profiled vs unprofiled 1-thread throughput.
-/// Best-of-2 on each side to damp scheduler noise.
+/// Paired smoke comparing profiled vs unprofiled 1-thread loop time over
+/// the same run (same events, same packet-hops). Best-of-2 on each side
+/// to damp scheduler noise.
 fn overhead_check(len: RunLength) -> i32 {
     let mut tl = len;
     tl.threads = 1;
-    let mut best = [0.0f64; 2];
+    let mut best = [u64::MAX; 2];
     for (i, profile) in [false, true].into_iter().enumerate() {
         for _ in 0..2 {
             let (_, m, _) =
                 run_elibrary_profiled(30.0, XLayerConfig::paper_prototype(), tl, profile);
-            let eps = m.events as f64 / (m.wall_ns as f64 / 1e9).max(1e-12);
-            best[i] = best[i].max(eps);
+            best[i] = best[i].min(m.wall_ns);
         }
     }
-    let ratio = best[1] / best[0].max(1e-12);
+    let ratio = best[0] as f64 / (best[1] as f64).max(1.0);
     eprintln!(
-        "overhead-check: unprofiled {:.0} events/sec, profiled {:.0} ({:.3}x, floor {OVERHEAD_FLOOR}x)",
-        best[0], best[1], ratio
+        "overhead-check: loop {:.1} ms unprofiled, {:.1} ms profiled ({:.3}x speed, floor {OVERHEAD_FLOOR}x)",
+        best[0] as f64 / 1e6,
+        best[1] as f64 / 1e6,
+        ratio
     );
     if ratio < OVERHEAD_FLOOR {
         eprintln!(
-            "bench_engine: FAIL: profiling overhead exceeds {:.0}% of unprofiled throughput",
+            "bench_engine: FAIL: profiling overhead exceeds {:.0}% of the unprofiled loop",
             (1.0 - OVERHEAD_FLOOR) * 100.0
         );
         return 1;
     }
     eprintln!("overhead-check: ok");
     0
+}
+
+/// Work and cost of one side of a gate comparison.
+#[derive(Clone, Copy, Default)]
+struct Cost {
+    events: u64,
+    pkt_hops: u64,
+    wall_ns: u64,
+}
+
+/// Gate one matched pair: host ns per packet-hop against the ceiling,
+/// events per packet-hop against the tolerance. Returns `true` on a
+/// failure (already reported).
+fn gate_pair(what: &str, now: Cost, base: Cost, baseline_path: &str) -> bool {
+    let per = |num: u64, c: Cost| num as f64 / (c.pkt_hops as f64).max(1.0);
+    let (ns, base_ns) = (per(now.wall_ns, now), per(base.wall_ns, base));
+    let (ev, base_ev) = (per(now.events, now), per(base.events, base));
+    let ns_ratio = ns / base_ns.max(1e-12);
+    let ev_drift = ev / base_ev.max(1e-12) - 1.0;
+    eprintln!(
+        "gate: {what}: {ns:.1} ns/packet-hop vs baseline {base_ns:.1} ({ns_ratio:.2}x, \
+         ceiling {GATE_CEILING}x); {ev:.4} events/packet-hop vs {base_ev:.4} ({:+.2} %, \
+         tolerance {:.0} %)",
+        ev_drift * 100.0,
+        EVENTS_TOLERANCE * 100.0
+    );
+    let mut failed = false;
+    if ns_ratio > GATE_CEILING {
+        eprintln!(
+            "bench_engine: FAIL: {what} host time per packet-hop regressed >{:.0}% vs {baseline_path}",
+            (GATE_CEILING - 1.0) * 100.0
+        );
+        failed = true;
+    }
+    if ev_drift.abs() > EVENTS_TOLERANCE {
+        eprintln!(
+            "bench_engine: FAIL: {what} events per packet-hop moved >{:.0}% vs {baseline_path} \
+             (deterministic: the engine's event diet or the model changed — regenerate the \
+             baseline if deliberate)",
+            EVENTS_TOLERANCE * 100.0
+        );
+        failed = true;
+    }
+    failed
 }
 
 fn main() {
@@ -232,21 +289,37 @@ fn main() {
                 return;
             }
         };
-        let ratio = report.events_per_sec / baseline.events_per_sec.max(1e-12);
-        eprintln!(
-            "gate: {:.0} events/sec vs baseline {:.0} ({:.2}x, floor {GATE_FLOOR}x)",
-            report.events_per_sec, baseline.events_per_sec, ratio
-        );
-        let mut failed = ratio < GATE_FLOOR;
-        if failed {
-            eprintln!(
-                "bench_engine: FAIL: events/sec regressed >{:.0}% vs {path}",
-                (1.0 - GATE_FLOOR) * 100.0
-            );
+        // fig4 runs gate in aggregate over the runs both reports have:
+        // a run is named by (rps, optimized, secs) under one seed, so a
+        // smoke run meets the baseline's smoke rows, never its full ones.
+        let mut failed = false;
+        let (mut now, mut base) = (Cost::default(), Cost::default());
+        if baseline.seed == report.seed {
+            for run in &report.runs {
+                let Some(b) = baseline.runs.iter().find(|b| {
+                    b.rps == run.rps && b.optimized == run.optimized && b.secs == run.secs
+                }) else {
+                    continue;
+                };
+                for (sum, r) in [(&mut now, run), (&mut base, b)] {
+                    sum.events += r.events;
+                    sum.pkt_hops += r.pkt_hops;
+                    sum.wall_ns += r.wall_ns;
+                }
+            }
         }
-        // Topology-scale rows gate pairwise by (pods, variant): throughput
-        // must stay at >=0.8x the baseline and peak RSS at <=1.2x. Rows
-        // the baseline lacks (new pod counts, new variants) are skipped —
+        if base.pkt_hops == 0 {
+            eprintln!(
+                "gate: fig4: baseline has no {}s seed-{} rows for these rps points, skipping",
+                report.secs, report.seed
+            );
+        } else {
+            failed |= gate_pair("fig4", now, base, &path);
+        }
+        // Topology-scale rows gate pairwise by (pods, variant): host time
+        // per packet-hop must stay at <=1.25x the baseline, events per
+        // packet-hop within 1 %, and peak RSS at <=1.2x. Rows the
+        // baseline lacks (new pod counts, new variants) are skipped —
         // they have nothing to regress against yet.
         for row in &report.topo_scale {
             let Some(base) = baseline
@@ -260,27 +333,18 @@ fn main() {
                 );
                 continue;
             };
-            let eps_ratio = row.events_per_sec / base.events_per_sec.max(1e-12);
+            let cost = |r: &meshlayer_bench::TopoScaleRow| Cost {
+                events: r.events,
+                pkt_hops: r.pkt_hops,
+                wall_ns: r.wall_ns,
+            };
+            let what = format!("topo {} {} pods", row.variant, row.pods);
+            failed |= gate_pair(&what, cost(row), cost(base), &path);
             let rss_ratio = row.peak_rss_bytes as f64 / base.peak_rss_bytes.max(1) as f64;
             eprintln!(
-                "gate: topo {} {} pods: {:.0} events/sec ({:.2}x, floor {GATE_FLOOR}x), \
-                 rss {:.1} MiB ({:.2}x, ceiling {RSS_CEILING}x)",
-                row.variant,
-                row.pods,
-                row.events_per_sec,
-                eps_ratio,
+                "gate: {what}: rss {:.1} MiB ({rss_ratio:.2}x, ceiling {RSS_CEILING}x)",
                 row.peak_rss_bytes as f64 / (1024.0 * 1024.0),
-                rss_ratio
             );
-            if eps_ratio < GATE_FLOOR {
-                eprintln!(
-                    "bench_engine: FAIL: topo {} {} pods events/sec regressed >{:.0}% vs {path}",
-                    row.variant,
-                    row.pods,
-                    (1.0 - GATE_FLOOR) * 100.0
-                );
-                failed = true;
-            }
             if base.peak_rss_bytes > 0 && rss_ratio > RSS_CEILING {
                 eprintln!(
                     "bench_engine: FAIL: topo {} {} pods peak RSS grew >{:.0}% vs {path}",

@@ -75,10 +75,10 @@ fn main() {
     let m = run_profiled(&mut sim, "topo_smoke");
     let rss = peak_rss_bytes();
     println!(
-        "topo_smoke: pods={} rps={rps:.0} events={} events/sec={:.0} roots_ok={} peak_rss_mib={:.1}",
+        "topo_smoke: pods={} rps={rps:.0} events={} ns/packet-hop={:.0} roots_ok={} peak_rss_mib={:.1}",
         p.pod_count(),
         m.events,
-        m.events as f64 / (m.wall_ns as f64 / 1e9).max(1e-12),
+        m.wall_ns as f64 / (meshlayer_bench::pkt_hops(&m) as f64).max(1.0),
         m.world.roots_ok,
         rss as f64 / (1024.0 * 1024.0),
     );

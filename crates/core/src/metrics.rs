@@ -16,6 +16,8 @@ pub struct LinkReport {
     pub rate_bps: u64,
     /// Fraction of the run the wire was busy.
     pub utilization: f64,
+    /// Packets transmitted (one per packet-hop over this link).
+    pub tx_packets: u64,
     /// Wire bytes transmitted.
     pub tx_bytes: u64,
     /// Packets dropped at the queue.
@@ -90,8 +92,11 @@ pub struct EvProfile {
     pub event: String,
     /// Times the variant was handled.
     pub count: u64,
-    /// Cumulative handler wall time, nanoseconds. Host-dependent — useful
-    /// for relative hot-spot ranking, excluded from determinism checks.
+    /// Estimated wall time inside flight observation + handler for this
+    /// variant, nanoseconds: the mean of a timed sample (one event in 61)
+    /// times `count`; the queue pop is not included. Zero unless the run
+    /// had [`crate::Simulation::enable_profiling`]. Host-dependent —
+    /// excluded from determinism checks.
     pub wall_ns: u64,
 }
 
@@ -159,19 +164,12 @@ impl RunMetrics {
                     ),
                     rate_bps: l.rate_bps(),
                     utilization: l.utilization(now),
+                    tx_packets: s.tx_packets,
                     tx_bytes: s.tx_bytes,
                     drops: l.drops(),
                     peak_queue_pkts: s.peak_queue_pkts,
-                    bytes_dscp_latency: s
-                        .tx_bytes_by_dscp
-                        .get(&meshlayer_netsim::DSCP_LATENCY)
-                        .copied()
-                        .unwrap_or(0),
-                    bytes_dscp_batch: s
-                        .tx_bytes_by_dscp
-                        .get(&meshlayer_netsim::DSCP_BATCH)
-                        .copied()
-                        .unwrap_or(0),
+                    bytes_dscp_latency: s.bytes_for_dscp(meshlayer_netsim::DSCP_LATENCY),
+                    bytes_dscp_batch: s.bytes_for_dscp(meshlayer_netsim::DSCP_BATCH),
                     fluid_bytes: s.fluid_bytes,
                     fluid_drop_bytes: s.fluid_drop_bytes,
                     fluid_delay_ns: s.fluid_delay_ns,
@@ -290,17 +288,15 @@ impl RunMetrics {
             self.world.roots_ok,
             self.world.roots_failed
         ));
-        let wall_s = self.wall_ns as f64 / 1e9;
+        let hops: u64 = self.links.iter().map(|l| l.tx_packets).sum();
         out.push_str(&format!(
-            "  queue: {} pushed, {} popped; loop {:.2}s wall ({:.0} events/sec)\n",
+            "  queue: {} pushed, {} popped; loop {:.2}s wall, {} packet-hops ({:.2} events and {:.0} ns each)\n",
             self.events_pushed,
             self.events_popped,
-            wall_s,
-            if wall_s > 0.0 {
-                self.events as f64 / wall_s
-            } else {
-                0.0
-            }
+            self.wall_ns as f64 / 1e9,
+            hops,
+            self.events as f64 / hops.max(1) as f64,
+            self.wall_ns as f64 / hops.max(1) as f64,
         ));
         for c in &self.classes {
             out.push_str(&format!(

@@ -104,8 +104,9 @@ pub struct Fabric {
     pub topology: Topology,
     /// Topology node of each pod (indexed by `PodId.0`).
     pub pod_node: Vec<NodeId>,
-    /// Reverse map: topology node → pod.
-    pub node_pod: HashMap<NodeId, PodId>,
+    /// Reverse map: the pod at each topology node (indexed by
+    /// `NodeId.0`; `None` for switches).
+    pub node_pod: Vec<Option<PodId>>,
     /// The star's central switch; for a spine-leaf fabric, the first
     /// spine (a representative non-pod node).
     pub switch: NodeId,
@@ -158,7 +159,6 @@ impl Fabric {
         let mut topology = Topology::new();
         let switch = topology.add_node("switch");
         let mut pod_node = Vec::with_capacity(cluster.pod_count());
-        let mut node_pod = HashMap::new();
         let mk =
             |plan: &NetworkPlan| -> Box<dyn Qdisc> { Box::new(DropTail::new(plan.queue_pkts)) };
         let mut entries = vec![HierEntry {
@@ -183,10 +183,10 @@ impl Fabric {
                 children: Vec::new(),
             });
             pod_node.push(n);
-            node_pod.insert(n, pod.id);
         }
         let attach = vec![switch; pod_node.len()];
         topology.install_hier(entries);
+        let node_pod = Self::pods_by_node(&pod_node, topology.node_count());
         Fabric {
             topology,
             pod_node,
@@ -224,7 +224,6 @@ impl Fabric {
         let mk =
             |plan: &NetworkPlan| -> Box<dyn Qdisc> { Box::new(DropTail::new(plan.queue_pkts)) };
         let mut pod_node = Vec::with_capacity(n_pods);
-        let mut node_pod = HashMap::new();
         let pods: Vec<&meshlayer_cluster::Pod> = cluster.pods().collect();
         // Leaves and their hosts first, keeping subtree ids contiguous.
         let mut leaf_nodes = Vec::with_capacity(n_leaves);
@@ -254,7 +253,6 @@ impl Fabric {
                     children: Vec::new(),
                 });
                 pod_node.push(n);
-                node_pod.insert(n, pod.id);
             }
             leaf_entry.hi = topology.node_count() as u32;
             let slot = leaf.0 as usize;
@@ -294,6 +292,7 @@ impl Fabric {
             .map(|(i, _)| leaf_nodes[(i / hosts_per_leaf).min(n_leaves - 1)])
             .collect();
         topology.install_hier(entries);
+        let node_pod = Self::pods_by_node(&pod_node, topology.node_count());
         Fabric {
             topology,
             pod_node,
@@ -308,9 +307,19 @@ impl Fabric {
         self.pod_node[pod.0 as usize]
     }
 
+    /// Invert `pod_node` (pods are numbered in deployment order) into a
+    /// table over all `nodes` topology nodes.
+    fn pods_by_node(pod_node: &[NodeId], nodes: usize) -> Vec<Option<PodId>> {
+        let mut table = vec![None; nodes];
+        for (pod, node) in pod_node.iter().enumerate() {
+            table[node.0 as usize] = Some(PodId(pod as u32));
+        }
+        table
+    }
+
     /// The pod living at a topology node (None for switches).
     pub fn pod_at(&self, node: NodeId) -> Option<PodId> {
-        self.node_pod.get(&node).copied()
+        self.node_pod.get(node.0 as usize).copied().flatten()
     }
 
     /// The access switch (star switch or leaf) a pod attaches to.

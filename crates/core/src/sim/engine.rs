@@ -3,8 +3,69 @@
 use super::{Ev, MsgInFlight, Simulation};
 use meshlayer_cluster::PodId;
 use meshlayer_netsim::{LinkId, LinkOutcome, NodeId, Packet};
-use meshlayer_simcore::SimTime;
-use meshlayer_transport::ConnOutput;
+use meshlayer_simcore::{SimDuration, SimTime};
+use meshlayer_transport::{ConnOutput, TimerPop};
+use std::time::Instant;
+
+/// Per-kind event accounting of one engine loop.
+///
+/// Counts are exact and always on. Wall time is read only when profiling
+/// was requested, and then only around a sample of each kind — its first
+/// [`EvMeter::DENSE`] events and every [`EvMeter::STRIDE`]-th after — so
+/// the unprofiled loop never touches the clock and the profiled one
+/// touches it twice per `STRIDE` events of a kind. A kind's reported wall
+/// time is its sample mean times its exact count.
+pub(crate) struct EvMeter {
+    profiled: bool,
+    counts: [u64; Ev::COUNT],
+    /// Per kind: (events timed, nanoseconds they took).
+    timed: [(u64, u64); Ev::COUNT],
+}
+
+impl EvMeter {
+    /// Kinds rarer than this are timed exhaustively (ticks, faults).
+    const DENSE: u64 = 16;
+    /// Past `DENSE`, one event in this many is timed. Prime, so the
+    /// sample cannot lock onto one phase of a repeating pattern (data,
+    /// ack, data, ack ...) in this deterministic event stream.
+    const STRIDE: u64 = 61;
+
+    pub(crate) fn new(profiled: bool) -> EvMeter {
+        EvMeter {
+            profiled,
+            counts: [0; Ev::COUNT],
+            timed: [(0, 0); Ev::COUNT],
+        }
+    }
+
+    /// Count one event of kind `code`; `Some(start)` if it is to be timed.
+    #[inline(always)]
+    pub(crate) fn begin(&mut self, code: usize) -> Option<Instant> {
+        let n = self.counts[code];
+        self.counts[code] = n + 1;
+        (self.profiled && (n < Self::DENSE || n.is_multiple_of(Self::STRIDE))).then(Instant::now)
+    }
+
+    /// The timed event that started at `start` is done; returns the
+    /// closing clock read for the phase profiler to reuse.
+    #[inline]
+    pub(crate) fn end(&mut self, code: usize, start: Instant) -> Instant {
+        let end = Instant::now();
+        let slot = &mut self.timed[code];
+        slot.0 += 1;
+        slot.1 += (end - start).as_nanos() as u64;
+        end
+    }
+
+    /// Per kind: (exact count, estimated wall nanoseconds).
+    pub(crate) fn profile(&self) -> [(u64, u64); Ev::COUNT] {
+        std::array::from_fn(|code| {
+            let (count, (timed, ns)) = (self.counts[code], self.timed[code]);
+            let wall = (ns as u128 * count as u128).checked_div(timed as u128);
+            (count, wall.unwrap_or(0) as u64)
+        })
+    }
+}
 
 impl Simulation {
     /// Run to completion: seed the workload arrivals, drain events until
@@ -67,41 +128,59 @@ impl Simulation {
         // Generous runaway guard: the densest expected runs are tens of
         // millions of events; a run hitting this bound is a driver bug.
         let max_events: u64 = 2_000_000_000;
-        // The phase profiler piggybacks on the per-event clock read the
-        // loop already takes, so profiling adds no extra `Instant::now()`
-        // calls on the hot path (and never touches simulation state).
+        // The phase profiler reuses the closing clock read of each timed
+        // event, so profiling adds no reads of its own (and never touches
+        // simulation state); an unprofiled run reads the clock twice.
+        let mut meter = EvMeter::new(self.profile_requested);
         let mut prof = self
             .profile_requested
             .then(meshlayer_prof::PhaseProfiler::sequential);
-        let loop_wall = std::time::Instant::now();
-        // One clock read per event: each interval (queue pop + flight
-        // observation + handler) is attributed to the event it processed.
-        let mut last_wall = loop_wall;
+        // Events already reported to the phase profiler.
+        let mut reported: u64 = 0;
+        let loop_wall = Instant::now();
         while let Some((t, ev)) = self.queue.pop() {
             if t > self.end_at {
                 break;
             }
             let code = ev.code() as usize;
+            let timed = meter.begin(code);
             self.flight_observe(t, &ev);
             self.handle(ev, t);
-            let wall = std::time::Instant::now();
-            let spent = (wall - last_wall).as_nanos() as u64;
-            last_wall = wall;
-            let slot = &mut self.ev_profile[code];
-            slot.0 += 1;
-            slot.1 += spent;
-            if let Some(p) = prof.as_mut() {
-                p.on_seq_event(wall, spent);
-            }
             processed += 1;
+            if let Some(start) = timed {
+                let end = meter.end(code, start);
+                if let Some(p) = prof.as_mut() {
+                    p.on_seq_events(end, processed - reported);
+                    reported = processed;
+                }
+            }
             assert!(processed < max_events, "event-loop runaway");
         }
         self.wall_ns = loop_wall.elapsed().as_nanos() as u64;
-        if let Some(p) = prof {
+        if let Some(mut p) = prof {
+            p.on_seq_events(Instant::now(), processed - reported);
             self.profile = Some(p.finish(self.wall_ns));
         }
-        self.flight_finish();
+        self.finish_run(&meter);
         crate::metrics::RunMetrics::collect(self, processed)
+    }
+
+    /// Both engines' epilogue: publish the event profile, bring link
+    /// counters up to the end of the run, close the flight capture.
+    pub(crate) fn finish_run(&mut self, meter: &EvMeter) {
+        self.ev_profile = meter.profile();
+        // Every event up to and including `end_at` ran.
+        self.settle_links_before(self.end_at + SimDuration::from_nanos(1));
+        self.flight_finish();
+    }
+
+    /// Credit released transmissions that ended before `t`, so link
+    /// counters read at `t` are what a completion event per packet would
+    /// have left (see `meshlayer_netsim::Link::settle_before`).
+    fn settle_links_before(&mut self, t: SimTime) {
+        for link in self.fabric.topology.links_mut() {
+            link.settle_before(t);
+        }
     }
 
     pub(crate) fn handle(&mut self, ev: Ev, now: SimTime) {
@@ -110,7 +189,7 @@ impl Simulation {
             Ev::LinkTx { link } => self.on_link_tx(link, now),
             Ev::LinkKick { link } => self.on_link_kick(link, now),
             Ev::PktArrive { pkt, node } => self.on_pkt_arrive(pkt, node, now),
-            Ev::ConnTimer { conn, dir, gen } => self.on_conn_timer(conn, dir, gen, now),
+            Ev::ConnTimer { conn, dir } => self.on_conn_timer(conn, dir, now),
             Ev::SendMsg {
                 conn,
                 dir,
@@ -149,6 +228,7 @@ impl Simulation {
     fn on_telemetry_tick(&mut self, now: SimTime) {
         use meshlayer_telemetry::GaugeKind;
         let elapsed_ns = now.saturating_since(self.scrape.last_at).as_nanos().max(1);
+        self.settle_links_before(now);
 
         // Links: utilization over the interval from the busy-time delta.
         let n_links = self.fabric.topology.link_count();
@@ -296,6 +376,7 @@ impl Simulation {
 
     /// §3.5: the SDN controller snapshots link utilization out-of-band.
     fn on_sdn_tick(&mut self, now: SimTime) {
+        self.settle_links_before(now);
         self.sdn.observe(&self.fabric, now);
         let next = now + self.spec.config.sdn_tick;
         if next < self.end_at {
@@ -326,11 +407,22 @@ impl Simulation {
     // Links and packets
     // -----------------------------------------------------------------
 
-    /// Act on a link's reported outcome.
-    fn apply_link_outcome(&mut self, link: LinkId, outcome: LinkOutcome) {
+    /// Act on a link's reported outcome. A transmission with nothing
+    /// queued behind it is released: its arrival is scheduled now and the
+    /// hop costs one event. Behind a backlog the `LinkTx` chain stays.
+    fn apply_link_outcome(&mut self, link_id: LinkId, outcome: LinkOutcome) {
         match outcome {
-            LinkOutcome::Busy { done_at } => self.push_ev(done_at, Ev::LinkTx { link }),
-            LinkOutcome::KickAt { at } => self.push_ev(at, Ev::LinkKick { link }),
+            LinkOutcome::Busy { done_at } => {
+                let link = self.fabric.topology.link_mut(link_id);
+                match link.release() {
+                    Some(pkt) => {
+                        let (at, node) = (done_at + link.delay(), link.to());
+                        self.push_ev(at, Ev::PktArrive { pkt, node });
+                    }
+                    None => self.push_ev(done_at, Ev::LinkTx { link: link_id }),
+                }
+            }
+            LinkOutcome::KickAt { at } => self.push_ev(at, Ev::LinkKick { link: link_id }),
             LinkOutcome::Idle => {}
         }
     }
@@ -395,13 +487,19 @@ impl Simulation {
     // Connections
     // -----------------------------------------------------------------
 
-    fn on_conn_timer(&mut self, conn: u64, dir: u8, gen: u64, now: SimTime) {
+    fn on_conn_timer(&mut self, conn: u64, dir: u8, now: SimTime) {
         let Some(pair) = self.conns.get_mut(conn) else {
             return;
         };
         let endpoint = if dir == 0 { &mut pair.a } else { &mut pair.b };
-        let out = endpoint.on_timer(gen, now);
-        self.process_conn_output(conn, dir, out, now);
+        match pair.timers[dir as usize].on_pop(now, endpoint.timer_state()) {
+            TimerPop::Idle => {}
+            TimerPop::Push(at) => self.push_ev(at, Ev::ConnTimer { conn, dir }),
+            TimerPop::Fire(gen) => {
+                let out = endpoint.on_timer(gen, now);
+                self.process_conn_output(conn, dir, out, now);
+            }
+        }
     }
 
     fn on_send_msg(&mut self, conn: u64, dir: u8, msg: u64, bytes: u64, now: SimTime) {
@@ -434,12 +532,9 @@ impl Simulation {
         for pkt in out.packets {
             self.route_packet(pkt, src_node, now);
         }
-        if let Some((at, gen)) = out.timer {
-            let pair = self.conns.get_mut(conn).expect("conn exists");
-            if gen > pair.scheduled_gen[dir as usize] {
-                pair.scheduled_gen[dir as usize] = gen;
-                self.push_ev(at, Ev::ConnTimer { conn, dir, gen });
-            }
+        let pair = self.conns.get_mut(conn).expect("conn exists");
+        if let Some(at) = pair.timers[dir as usize].arm(out.timer) {
+            self.push_ev(at, Ev::ConnTimer { conn, dir });
         }
         for d in out.delivered {
             self.on_msg_delivered(conn, dir, d.msg, now);

@@ -83,10 +83,9 @@ fn fold_event(state: u64, seq: u64, t: SimTime, ev: &Ev) -> u64 {
             d = fold_bytes(d, &[pkt.dscp, pkt.is_ack() as u8]);
             fold_u64(d, node.0 as u64)
         }
-        Ev::ConnTimer { conn, dir, gen } => {
+        Ev::ConnTimer { conn, dir } => {
             d = fold_u64(d, *conn);
-            d = fold_bytes(d, &[*dir]);
-            fold_u64(d, *gen)
+            fold_bytes(d, &[*dir])
         }
         Ev::SendMsg {
             conn,

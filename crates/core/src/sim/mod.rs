@@ -42,7 +42,7 @@ use meshlayer_netsim::{LinkId, NodeId, Packet};
 use meshlayer_simcore::FxHashMap;
 use meshlayer_simcore::{Dist, EventQueue, SimDuration, SimRng, SimTime};
 use meshlayer_telemetry::{TelemetryConfig, TelemetryHub};
-use meshlayer_transport::{CcAlgo, Conn, ConnConfig, MuxPolicy};
+use meshlayer_transport::{CcAlgo, Conn, ConnConfig, MuxPolicy, TimerSlot};
 use meshlayer_workload::{OpenLoopGen, Recorder, WorkloadSpec};
 use serde::{Deserialize, Serialize};
 
@@ -178,14 +178,18 @@ pub const INGRESS_SERVICE: &str = "ingress-gateway";
 pub(crate) enum Ev {
     /// Workload generator `gen` emits its next request.
     Arrival { gen: usize },
-    /// A link finished serializing its in-flight packet.
+    /// A link with a backlog finished serializing its in-flight packet
+    /// (an uncontended transmission is released at its start and needs
+    /// no such event — see `meshlayer_netsim::link`).
     LinkTx { link: LinkId },
-    /// A shaped link should retry dequeueing.
+    /// A link should retry dequeueing: its shaper has tokens again, or
+    /// its released wire is free and a backlog formed meanwhile.
     LinkKick { link: LinkId },
-    /// A packet arrives at a node after propagation.
+    /// A packet arrives at a node after serialization and propagation.
     PktArrive { pkt: Packet, node: NodeId },
-    /// A connection's RTO timer fires.
-    ConnTimer { conn: u64, dir: u8, gen: u64 },
+    /// The live timer event of endpoint `(conn, dir)` — at most one per
+    /// endpoint, see [`meshlayer_transport::TimerSlot`].
+    ConnTimer { conn: u64, dir: u8 },
     /// Hand a message to a connection endpoint (after sidecar overhead).
     SendMsg {
         conn: u64,
@@ -430,8 +434,8 @@ pub(crate) struct ConnPair {
     /// Transport class the pair was pooled under (0 = high, 1 = low) —
     /// policy pushes re-derive DSCP/CC for live connections from it.
     pub class: u8,
-    /// Highest timer generation already scheduled, per direction.
-    pub scheduled_gen: [u64; 2],
+    /// The live timer event of each direction's endpoint.
+    pub timers: [TimerSlot; 2],
 }
 
 /// Aggregate counters the run reports (see [`crate::metrics::RunMetrics`]).
@@ -494,8 +498,9 @@ pub struct Simulation {
     pub(crate) tracer: Tracer,
     pub(crate) telemetry: TelemetryHub,
     pub(crate) scrape: ScrapeState,
-    /// Per-Ev-variant profiling, indexed by [`Ev::code`]:
-    /// (count, cumulative handler wall nanos).
+    /// Per-Ev-variant profile of the last run, indexed by [`Ev::code`]:
+    /// (exact count, handler wall nanos estimated from the timed sample —
+    /// zero unless profiling was enabled; see `engine::EvMeter`).
     pub(crate) ev_profile: [(u64, u64); Ev::COUNT],
     /// Sim-time latency provenance (always on; see [`mod@self::prov`]).
     pub(crate) prov: prov::ProvTrack,
@@ -882,7 +887,7 @@ impl Simulation {
                 a: conn_a,
                 b: conn_b,
                 class,
-                scheduled_gen: [0, 0],
+                timers: [TimerSlot::default(); 2],
             })
         };
         let dir = if x == a { 0 } else { 1 };

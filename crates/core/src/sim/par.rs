@@ -359,8 +359,8 @@ impl Simulation {
         let mut prof = self
             .profile_requested
             .then(|| PhaseProfiler::sharded(threads, lookahead.as_nanos()));
+        let mut meter = super::engine::EvMeter::new(self.profile_requested);
         let loop_wall = std::time::Instant::now();
-        let mut last_wall = loop_wall;
 
         std::thread::scope(|s| {
             let (done_tx, done_rx) = mpsc::channel::<DrainDone>();
@@ -482,14 +482,12 @@ impl Simulation {
                         break 'run;
                     }
                     let code = ev.code() as usize;
+                    let timed = meter.begin(code);
                     self.flight_observe(t, &ev);
                     self.handle(ev, t);
-                    let wall = std::time::Instant::now();
-                    let spent = (wall - last_wall).as_nanos() as u64;
-                    last_wall = wall;
-                    let slot = &mut self.ev_profile[code];
-                    slot.0 += 1;
-                    slot.1 += spent;
+                    if let Some(start) = timed {
+                        meter.end(code, start);
+                    }
                     processed += 1;
                     assert!(processed < max_events, "event-loop runaway");
                 }
@@ -506,7 +504,7 @@ impl Simulation {
         if let Some(p) = prof {
             self.profile = Some(p.finish(self.wall_ns));
         }
-        self.flight_finish();
+        self.finish_run(&meter);
         crate::metrics::RunMetrics::collect(self, processed)
     }
 }

@@ -25,8 +25,16 @@ use serde::{Deserialize, Serialize};
 /// File magic: identifies a flight-recorder log and its framing version.
 pub const MAGIC: &[u8; 8] = b"FLTREC01";
 
-/// Record-format version stamped into [`MetaInfo::format`].
-pub const FORMAT_VERSION: u32 = 1;
+/// Record-format version stamped into [`MetaInfo::format`]; a capture
+/// written under any other version does not decode
+/// ([`DecodeError::Version`]).
+///
+/// * v2 — the committed event stream changed: an uncontended hop is one
+///   `PktArrive` with no `LinkTx`, each connection endpoint keeps one
+///   live `ConnTimer`, and the `ConnTimer` digest fold dropped its
+///   generation field. A v1 capture replayed under v2 would "diverge"
+///   at the first such event, so it is refused by version instead.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Frame tag for [`Record::Meta`].
 pub const TAG_META: u8 = 1;
@@ -335,6 +343,8 @@ pub enum DecodeError {
     BadTag(u8),
     /// Payload had bytes left over after the record was fully decoded.
     Trailing,
+    /// The capture was written under another [`FORMAT_VERSION`].
+    Version(u32),
 }
 
 impl std::fmt::Display for DecodeError {
@@ -345,6 +355,11 @@ impl std::fmt::Display for DecodeError {
             DecodeError::BadJson => write!(f, "meta JSON unparsable"),
             DecodeError::BadTag(t) => write!(f, "unknown record tag {t}"),
             DecodeError::Trailing => write!(f, "trailing bytes after record"),
+            DecodeError::Version(v) => write!(
+                f,
+                "capture is format v{v}, this build reads only v{FORMAT_VERSION} \
+                 (the recorded event stream differs between versions): record it again"
+            ),
         }
     }
 }
@@ -515,6 +530,9 @@ impl Record {
             TAG_META => {
                 let text = std::str::from_utf8(payload).map_err(|_| DecodeError::BadUtf8)?;
                 let m: MetaInfo = serde_json::from_str(text).map_err(|_| DecodeError::BadJson)?;
+                if m.format != FORMAT_VERSION {
+                    return Err(DecodeError::Version(m.format));
+                }
                 return Ok(Record::Meta(m));
             }
             TAG_EVENT => Record::Event(EventRecord {

@@ -406,6 +406,30 @@ mod tests {
     }
 
     #[test]
+    fn capture_of_another_format_version_is_refused_by_version() {
+        let dir = std::env::temp_dir().join("flightrec-replay-v1");
+        let path = dir.join("run.flight");
+        let mut w = LogWriter::create(&path).unwrap();
+        w.write(&Record::Meta(MetaInfo {
+            format: 1,
+            ..meta()
+        }))
+        .unwrap();
+        w.write(&Record::Event(event(0))).unwrap();
+        w.finish().unwrap();
+        // Refused when opened, not reported as a divergence at event 0.
+        let Err(err) = ReplayChecker::open(&path) else {
+            panic!("a v1 capture must not open for replay");
+        };
+        let want = format!("format v1, this build reads only v{FORMAT_VERSION}");
+        assert!(err.to_string().contains(&want), "{err}");
+        let Err(err) = crate::FlightLog::load(&path) else {
+            panic!("a v1 capture must not load");
+        };
+        assert!(err.to_string().contains(&want), "{err}");
+    }
+
+    #[test]
     fn digest_flip_locates_first_divergence() {
         let dir = std::env::temp_dir().join("flightrec-replay-flip");
         let path = dir.join("run.flight");

@@ -10,11 +10,26 @@
 //!    classifies, enqueues (possibly dropping), and if the wire is idle
 //!    starts transmitting.
 //! 2. The returned [`LinkOutcome`] tells the driver what to schedule:
-//!    [`LinkOutcome::Busy`] → call [`Link::on_tx_done`] at `done_at`;
+//!    [`LinkOutcome::Busy`] → the wire serializes until `done_at` (see 3);
 //!    [`LinkOutcome::KickAt`] → call [`Link::on_kick`] at `at` (shaped
-//!    qdisc waiting for tokens); [`LinkOutcome::Idle`] → nothing.
-//! 3. `on_tx_done(now)` yields the transmitted packet — the driver delivers
-//!    it to the head node at `now + delay()` — plus the next outcome.
+//!    qdisc waiting for tokens, or a released wire with a new backlog);
+//!    [`LinkOutcome::Idle`] → nothing.
+//! 3. On `Busy` the driver first tries [`Link::release`]. With nothing
+//!    queued behind the packet it gets the packet at once and schedules
+//!    only its delivery at `done_at + delay()` — one event for the hop.
+//!    The link keeps the wire busy until `done_at` on its own: an `offer`
+//!    inside that window queues and asks for a kick at `done_at`, which
+//!    starts the next packet at the instant `on_tx_done` would have.
+//! 4. With a backlog `release` declines, and the driver calls
+//!    [`Link::on_tx_done`] at `done_at`: it yields the transmitted packet
+//!    — deliver it to the head node at `now + delay()` — plus the next
+//!    outcome, which is again either released or chained.
+//!
+//! Both paths start, finish and deliver every packet at the same
+//! simulated instants; they differ only in how many events the driver
+//! needs. A released transmission is credited to [`LinkStats`] when its
+//! serialization ends, not when it is released: readers at an instant
+//! `t` call [`Link::settle_before`] first.
 
 use crate::packet::{ClassId, NodeId, Packet};
 use crate::qdisc::{Deq, Qdisc};
@@ -23,20 +38,21 @@ use crate::tc::TcTable;
 use crate::topology::LinkId;
 use meshlayer_simcore::time::tx_time;
 use meshlayer_simcore::{SimDuration, SimTime};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// What the driver must do next for this link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkOutcome {
-    /// A packet is serializing; call [`Link::on_tx_done`] at `done_at`.
+    /// A packet is serializing until `done_at`: take it with
+    /// [`Link::release`], or call [`Link::on_tx_done`] at `done_at`.
     Busy {
         /// Completion time of the in-flight transmission.
         done_at: SimTime,
     },
-    /// The qdisc is shaped-idle; call [`Link::on_kick`] at `at`.
+    /// Nothing can start before `at` — the shaper is out of tokens, or a
+    /// released wire is still serializing; call [`Link::on_kick`] then.
     KickAt {
-        /// Earliest time the shaper can release a packet.
+        /// Earliest time the next packet can start.
         at: SimTime,
     },
     /// Nothing queued; the link sleeps until the next `offer`.
@@ -50,8 +66,11 @@ pub struct LinkStats {
     pub tx_packets: u64,
     /// Wire bytes fully transmitted.
     pub tx_bytes: u64,
-    /// Wire bytes transmitted, per DSCP value.
-    pub tx_bytes_by_dscp: HashMap<u8, u64>,
+    /// Wire bytes transmitted, indexed by the 6-bit DSCP value (read
+    /// through [`LinkStats::bytes_for_dscp`]). Allocated by the first
+    /// transmission: a thousand-pod fabric builds thousands of links, and
+    /// half a kilobyte inline in each showed in set-up time.
+    pub tx_bytes_by_dscp: Option<Box<[u64; 64]>>,
     /// Nanoseconds the wire spent busy.
     pub busy_ns: u64,
     /// Peak queue depth observed (packets).
@@ -72,6 +91,32 @@ pub struct LinkStats {
     pub fluid_delay_ns: u64,
 }
 
+impl LinkStats {
+    /// Wire bytes transmitted with DSCP value `dscp` (its low six bits).
+    pub fn bytes_for_dscp(&self, dscp: u8) -> u64 {
+        self.tx_bytes_by_dscp
+            .as_ref()
+            .map_or(0, |t| t[(dscp & 0x3f) as usize])
+    }
+
+    fn credit(&mut self, wire_bytes: u64, dscp: u8, busy_ns: u64) {
+        self.tx_packets += 1;
+        self.tx_bytes += wire_bytes;
+        self.tx_bytes_by_dscp
+            .get_or_insert_with(|| Box::new([0; 64]))[(dscp & 0x3f) as usize] += wire_bytes;
+        self.busy_ns += busy_ns;
+    }
+}
+
+/// A transmission whose packet the driver took early ([`Link::release`]):
+/// the wire stays busy until `done_at`, when the counters are credited.
+#[derive(Debug, Clone, Copy)]
+struct Released {
+    wire_bytes: u64,
+    dscp: u8,
+    done_at: SimTime,
+}
+
 /// A unidirectional link: tail qdisc + serializing wire.
 pub struct Link {
     id: LinkId,
@@ -83,6 +128,8 @@ pub struct Link {
     tc: TcTable,
     in_flight: Option<Packet>,
     tx_started: SimTime,
+    tx_done_at: SimTime,
+    released: Option<Released>,
     pending_kick: Option<SimTime>,
     stats: LinkStats,
     tap: Option<Arc<dyn PacketTap>>,
@@ -112,6 +159,8 @@ impl Link {
             tc: TcTable::new(ClassId(0)),
             in_flight: None,
             tx_started: SimTime::ZERO,
+            tx_done_at: SimTime::ZERO,
+            released: None,
             pending_kick: None,
             stats: LinkStats::default(),
             tap: None,
@@ -215,9 +264,31 @@ impl Link {
         self.qdisc = qdisc;
     }
 
-    /// Telemetry counters.
+    /// Telemetry counters. A released transmission is credited once its
+    /// serialization has ended *and* the link has been touched since —
+    /// call [`Link::settle_before`] first when reading mid-run.
     pub fn stats(&self) -> &LinkStats {
         &self.stats
+    }
+
+    /// Credit a released transmission that finished serializing before
+    /// `t`. Readers of [`Link::stats`] at instant `t` call this first;
+    /// "before" and not "by" because a reader's own event (a periodic
+    /// tick, scheduled a whole period ago) runs ahead of a completion
+    /// falling on the same nanosecond (scheduled a serialization time
+    /// ago). End-of-run readers pass the instant after the last one.
+    pub fn settle_before(&mut self, t: SimTime) {
+        if self.released.is_some_and(|r| r.done_at < t) {
+            self.settle();
+        }
+    }
+
+    /// Credit the released transmission, if any.
+    fn settle(&mut self) {
+        if let Some(r) = self.released.take() {
+            let busy = r.done_at.saturating_since(self.tx_started).as_nanos();
+            self.stats.credit(r.wire_bytes, r.dscp, busy);
+        }
     }
 
     /// Packets dropped since creation (qdisc overflow + admin-down drops).
@@ -244,6 +315,11 @@ impl Link {
         let mut busy = self.stats.busy_ns;
         if self.in_flight.is_some() {
             busy += now.saturating_since(self.tx_started).as_nanos();
+        } else if let Some(r) = self.released {
+            busy += now
+                .min(r.done_at)
+                .saturating_since(self.tx_started)
+                .as_nanos();
         }
         busy as f64 / elapsed as f64
     }
@@ -300,7 +376,31 @@ impl Link {
             // Wire busy; on_tx_done will pick the packet up.
             return (LinkOutcome::Idle, dropped);
         }
+        if let Some(free_at) = self.released_until(now) {
+            // Nobody will call on_tx_done for a released transmission,
+            // so ask to be woken when the wire frees up.
+            return (self.wake_at(free_at), dropped);
+        }
         (self.try_start(now), dropped)
+    }
+
+    /// Right after a [`LinkOutcome::Busy`]: take the serializing packet
+    /// now instead of at `done_at`. Declines (`None`) when packets are
+    /// queued behind it — then the driver keeps the `on_tx_done` chain,
+    /// which needs no extra wake-up to start the next packet. On success
+    /// the driver owes one delivery at `done_at + delay()` and no
+    /// `on_tx_done` call; the link holds the wire until `done_at` itself.
+    pub fn release(&mut self) -> Option<Packet> {
+        if !self.qdisc.is_empty() {
+            return None;
+        }
+        let pkt = self.in_flight.take()?;
+        self.released = Some(Released {
+            wire_bytes: pkt.wire_size() as u64,
+            dscp: pkt.dscp,
+            done_at: self.tx_done_at,
+        });
+        Some(pkt)
     }
 
     /// The in-flight transmission finished. Returns the transmitted packet
@@ -313,25 +413,58 @@ impl Link {
             .in_flight
             .take()
             .expect("on_tx_done called on idle link");
-        self.stats.tx_packets += 1;
-        self.stats.tx_bytes += pkt.wire_size() as u64;
-        *self.stats.tx_bytes_by_dscp.entry(pkt.dscp).or_insert(0) += pkt.wire_size() as u64;
-        self.stats.busy_ns += now.saturating_since(self.tx_started).as_nanos();
+        let busy = now.saturating_since(self.tx_started).as_nanos();
+        self.stats.credit(pkt.wire_size() as u64, pkt.dscp, busy);
         (pkt, self.try_start(now))
     }
 
-    /// A scheduled shaper kick fired. Spurious kicks (wire already busy, or
+    /// A scheduled kick fired. Spurious kicks (wire already busy, or
     /// nothing ready) are tolerated and return the correct next outcome.
     pub fn on_kick(&mut self, now: SimTime) -> LinkOutcome {
         self.pending_kick = None;
         if self.in_flight.is_some() {
             return LinkOutcome::Idle;
         }
+        if let Some(free_at) = self.released_until(now) {
+            // A stale shaper kick landed inside a released transmission.
+            return self.wake_at(free_at);
+        }
         self.try_start(now)
+    }
+
+    /// When the released transmission ends, if it is still serializing
+    /// at `now`.
+    fn released_until(&self, now: SimTime) -> Option<SimTime> {
+        self.released.map(|r| r.done_at).filter(|&end| now < end)
+    }
+
+    /// The released wire serializes until `free_at`: if a backlog is
+    /// waiting, ask for a kick at that instant.
+    fn wake_at(&mut self, free_at: SimTime) -> LinkOutcome {
+        if self.qdisc.is_empty() {
+            LinkOutcome::Idle
+        } else {
+            self.request_kick(free_at)
+        }
+    }
+
+    /// Deduplicate kicks: only ask for a new one if none is pending, or
+    /// this one is strictly earlier.
+    fn request_kick(&mut self, at: SimTime) -> LinkOutcome {
+        match self.pending_kick {
+            Some(p) if p <= at => LinkOutcome::Idle,
+            _ => {
+                self.pending_kick = Some(at);
+                LinkOutcome::KickAt { at }
+            }
+        }
     }
 
     fn try_start(&mut self, now: SimTime) -> LinkOutcome {
         debug_assert!(self.in_flight.is_none());
+        debug_assert!(self.released.is_none_or(|r| r.done_at <= now));
+        // The wire is free again: the released transmission is over.
+        self.settle();
         match self.qdisc.dequeue(now) {
             Deq::Packet(pkt) => {
                 if let Some(tap) = &self.tap {
@@ -354,19 +487,10 @@ impl Link {
                 let done_at = now + tx;
                 self.in_flight = Some(pkt);
                 self.tx_started = now;
+                self.tx_done_at = done_at;
                 LinkOutcome::Busy { done_at }
             }
-            Deq::NotReadyUntil(at) => {
-                // Deduplicate kicks: only ask for a new one if none is
-                // pending, or this one is strictly earlier.
-                match self.pending_kick {
-                    Some(p) if p <= at => LinkOutcome::Idle,
-                    _ => {
-                        self.pending_kick = Some(at);
-                        LinkOutcome::KickAt { at }
-                    }
-                }
-            }
+            Deq::NotReadyUntil(at) => self.request_kick(at),
             Deq::Empty => LinkOutcome::Idle,
         }
     }
@@ -625,6 +749,77 @@ mod tests {
         assert_eq!(link.stats().fluid_drop_bytes, 10);
     }
 
+    fn busy(out: LinkOutcome) -> SimTime {
+        match out {
+            LinkOutcome::Busy { done_at } => done_at,
+            other => panic!("expected Busy, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn released_hop_needs_no_tx_done_and_credits_at_done_at() {
+        let mut link = mklink(1_000_000_000); // 1500B = 12 us
+        let d1 = busy(link.offer(pkt(1, 1434), SimTime::ZERO).0);
+        assert_eq!(link.release().map(|p| p.id), Some(1));
+        assert!(link.release().is_none(), "nothing left to take");
+        // Serializing until d1: not yet credited, but utilization sees it.
+        link.settle_before(d1);
+        assert_eq!(link.stats().tx_packets, 0);
+        let half = SimTime::from_micros(6);
+        assert!((link.utilization(half) - 1.0).abs() < 1e-9);
+        // Over: credited with the full serialization time.
+        link.settle_before(d1 + SimDuration::from_nanos(1));
+        assert_eq!(link.stats().tx_packets, 1);
+        assert_eq!(link.stats().tx_bytes, 1500);
+        assert_eq!(link.stats().busy_ns, 12_000);
+        // The wire is free again at d1 exactly.
+        let d2 = busy(link.offer(pkt(2, 1434), d1).0);
+        assert_eq!(d2, d1 + SimDuration::from_micros(12));
+    }
+
+    #[test]
+    fn offer_inside_released_window_waits_for_the_wire() {
+        let mut link = mklink(1_000_000_000);
+        let d1 = busy(link.offer(pkt(1, 1434), SimTime::ZERO).0);
+        link.release().expect("nothing queued behind");
+        let mid = SimTime::from_micros(5);
+        // First offer inside the window asks for one wake-up at d1...
+        assert_eq!(
+            link.offer(pkt(2, 1434), mid).0,
+            LinkOutcome::KickAt { at: d1 }
+        );
+        // ...later ones ride on it.
+        assert_eq!(link.offer(pkt(3, 1434), mid).0, LinkOutcome::Idle);
+        assert_eq!(link.queue_len(), 2);
+        // The kick starts packet 2 at d1 and credits packet 1; with packet
+        // 3 queued behind, the link declines another release.
+        let d2 = busy(link.on_kick(d1));
+        assert_eq!(d2, d1 + SimDuration::from_micros(12));
+        assert_eq!(link.stats().tx_packets, 1);
+        assert!(link.release().is_none());
+        let (p2, next) = link.on_tx_done(d2);
+        assert_eq!(p2.id, 2);
+        busy(next);
+        assert_eq!(link.release().map(|p| p.id), Some(3));
+    }
+
+    #[test]
+    fn stale_kick_inside_released_window_reschedules_the_wakeup() {
+        let mut link = mklink(1_000_000_000);
+        let d1 = busy(link.offer(pkt(1, 1434), SimTime::ZERO).0);
+        link.release().unwrap();
+        let mid = SimTime::from_micros(5);
+        assert!(matches!(
+            link.offer(pkt(2, 100), mid).0,
+            LinkOutcome::KickAt { .. }
+        ));
+        // A kick that is not the wake-up (say an old shaper kick) must not
+        // start anything early nor lose the wake-up.
+        assert_eq!(link.on_kick(mid), LinkOutcome::KickAt { at: d1 });
+        assert_eq!(link.queue_len(), 1);
+        busy(link.on_kick(d1));
+    }
+
     #[test]
     fn per_dscp_accounting() {
         let mut link = mklink(1_000_000_000);
@@ -637,9 +832,7 @@ mod tests {
             _ => panic!(),
         };
         link.on_tx_done(d);
-        assert_eq!(
-            link.stats().tx_bytes_by_dscp[&crate::packet::DSCP_BATCH],
-            1000
-        );
+        assert_eq!(link.stats().bytes_for_dscp(crate::packet::DSCP_BATCH), 1000);
+        assert_eq!(link.stats().bytes_for_dscp(DSCP_LATENCY), 0);
     }
 }

@@ -214,6 +214,8 @@ pub struct PhaseProfiler {
     lane_busy_ns: Vec<u64>,
     /// Open sequential slice: (start_ns, busy_ns, events).
     slice: Option<(u64, u64, u64)>,
+    /// End of the last interval the sequential loop reported.
+    seq_reported_ns: u64,
     trace: TraceBook,
 }
 
@@ -234,6 +236,7 @@ impl PhaseProfiler {
             commit_ns: 0,
             lane_busy_ns: Vec::new(),
             slice: None,
+            seq_reported_ns: 0,
             trace,
         }
     }
@@ -258,6 +261,7 @@ impl PhaseProfiler {
             commit_ns: 0,
             lane_busy_ns: vec![0; threads.max(1)],
             slice: None,
+            seq_reported_ns: 0,
             trace,
         }
     }
@@ -271,18 +275,23 @@ impl PhaseProfiler {
         t.duration_since(self.epoch).as_nanos() as u64
     }
 
-    /// Sequential loop: fold one event's measured handler time into the
-    /// open slice, flushing a trace span per ~1 ms of wall clock.
+    /// Sequential loop: `events` more events ran since the previous call
+    /// (or the epoch), ending at `now`. The loop reports at its timed
+    /// events only, so the whole interval — pops, handlers, untimed
+    /// events — lands in the open slice, which flushes a trace span per
+    /// ~1 ms of wall clock.
     #[inline]
-    pub fn on_seq_event(&mut self, now: Instant, spent_ns: u64) {
-        self.events += 1;
-        self.commit_ns += spent_ns;
+    pub fn on_seq_events(&mut self, now: Instant, events: u64) {
         let now_ns = self.ns(now);
+        let spent_ns = now_ns.saturating_sub(self.seq_reported_ns);
+        self.seq_reported_ns = now_ns;
+        self.events += events;
+        self.commit_ns += spent_ns;
         let (start, busy, evs) = self
             .slice
             .get_or_insert((now_ns.saturating_sub(spent_ns), 0, 0));
         *busy += spent_ns;
-        *evs += 1;
+        *evs += events;
         if now_ns.saturating_sub(*start) >= SEQ_SLICE_NS {
             let span = TraceSpan {
                 name: "events".into(),
@@ -392,12 +401,13 @@ mod tests {
     #[test]
     fn sequential_profile_is_pure_commit() {
         let mut p = PhaseProfiler::sequential();
-        let now = p.epoch() + std::time::Duration::from_micros(10);
-        for _ in 0..5 {
-            p.on_seq_event(now, 1_000);
+        // Five reports 1 us apart, 16 events each.
+        for i in 1..=5 {
+            let now = p.epoch() + std::time::Duration::from_micros(i);
+            p.on_seq_events(now, 16);
         }
         let r = p.finish(50_000);
-        assert_eq!(r.summary.events, 5);
+        assert_eq!(r.summary.events, 80);
         assert_eq!(r.summary.commit_ns, 5_000);
         assert_eq!(r.summary.serial_fraction, 1.0);
         assert_eq!(r.summary.amdahl_ceiling, 1.0);

@@ -95,8 +95,9 @@ pub struct ConnOutput {
     /// Messages that completed arriving.
     pub delivered: Vec<Delivered>,
     /// The timer this connection currently wants: `(fire_at, generation)`.
-    /// The driver schedules a timer event carrying the generation; stale
-    /// generations are ignored by [`Conn::on_timer`].
+    /// The driver calls [`Conn::on_timer`] with that generation at
+    /// `fire_at` unless the timer has moved by then ([`crate::TimerSlot`]
+    /// does this with one live event); stale generations are ignored.
     pub timer: Option<(SimTime, u64)>,
 }
 
@@ -158,7 +159,6 @@ pub struct Conn {
     out_msgs: VecDeque<OutMsg>,
     rr_cursor: usize,
     sent_segs: BTreeMap<u64, Seg>,
-    last_sent_at: HashMap<u64, SimTime>,
     retx_queue: VecDeque<u64>,
     dup_acks: u32,
     /// NewReno recovery point: dup-ack losses are ignored until
@@ -195,7 +195,6 @@ impl Conn {
             out_msgs: VecDeque::new(),
             rr_cursor: 0,
             sent_segs: BTreeMap::new(),
-            last_sent_at: HashMap::new(),
             retx_queue: VecDeque::new(),
             dup_acks: 0,
             recovery_until: None,
@@ -367,7 +366,6 @@ impl Conn {
         p.ts_echo = now.as_nanos();
         p.msg = seg.msg;
         p.msg_len = seg.msg_len;
-        self.last_sent_at.insert(seq, now);
         self.stats.bytes_sent += seg.len as u64;
         p
     }
@@ -466,7 +464,6 @@ impl Conn {
                         finished_msgs.push(seg.msg);
                     }
                 }
-                self.last_sent_at.remove(&s);
             }
             for m in finished_msgs {
                 let still_unacked = self.sent_segs.values().any(|s| s.msg == m);

@@ -13,7 +13,9 @@
 //!   and the scavengers [`cc::Ledbat`] and [`cc::TcpLp`];
 //! * [`rtt`] — Jacobson/Karels RTT estimation with datacenter RTO clamps;
 //! * [`MuxPolicy`] — FIFO or structured-streams-style round-robin message
-//!   multiplexing over a single connection (§3.6).
+//!   multiplexing over a single connection (§3.6);
+//! * [`TimerSlot`] — the driver's side of the retransmission timer: one
+//!   live event per endpoint however often the timer restarts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -21,7 +23,9 @@
 pub mod cc;
 pub mod conn;
 pub mod rtt;
+pub mod timer;
 
 pub use cc::{CcAlgo, CongestionControl, INIT_CWND, MSS};
 pub use conn::{Conn, ConnConfig, ConnOutput, ConnStats, Delivered, MuxPolicy};
 pub use rtt::RttEstimator;
+pub use timer::{TimerPop, TimerSlot};

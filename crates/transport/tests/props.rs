@@ -1,11 +1,16 @@
 //! Property-based transport tests: reliable delivery under arbitrary
-//! loss/reorder patterns, for every congestion controller and mux policy.
+//! loss/reorder patterns, for every congestion controller and mux policy,
+//! and timer-driver equivalence: one live timer event per endpoint fires
+//! `on_timer` exactly when an event per timer restart does.
 
 use meshlayer_netsim::Packet;
 use meshlayer_simcore::{SimDuration, SimTime};
-use meshlayer_transport::{CcAlgo, Conn, ConnConfig, Delivered, MuxPolicy};
+use meshlayer_transport::{
+    CcAlgo, Conn, ConnConfig, ConnOutput, Delivered, MuxPolicy, TimerPop, TimerSlot,
+};
 use proptest::prelude::*;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Run a lossy exchange: each a->b packet is dropped iff the next value of
 /// `drops` says so (acks and retransmissions always get through — losing
@@ -150,5 +155,192 @@ proptest! {
             }
             prop_assert!(cc.cwnd() >= meshlayer_transport::MSS, "{} cwnd {}", cc.name(), cc.cwnd());
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Timer drivers: one live event per endpoint vs. one event per restart
+// ---------------------------------------------------------------------
+
+/// Who schedules the sender's timer events.
+#[derive(Clone, Copy, Debug)]
+enum TimerDriver {
+    /// The reference: an event per generation ([`ConnOutput::timer`]
+    /// restarts); [`Conn::on_timer`] discards the stale ones.
+    PerRestart { scheduled_gen: u64 },
+    /// A single self-rescheduling event ([`TimerSlot`]).
+    OneLive(TimerSlot),
+}
+
+/// One step of the exchange. The derived order is the tie rule at one
+/// instant, the same under both drivers: packets, then submissions, then
+/// timers.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Step {
+    ToB(usize),
+    ToA(usize),
+    Send(usize),
+    Timer(u64),
+}
+
+/// What the sender did, as the network saw it.
+#[derive(Debug, PartialEq)]
+struct TimerTrace {
+    /// Instants at which `on_timer` took an RTO.
+    fires: Vec<SimTime>,
+    /// Every data packet the sender emitted: (instant, stream offset).
+    sent: Vec<(SimTime, u64)>,
+    timeouts: u64,
+    fast_retx: u64,
+    delivered: u64,
+}
+
+/// Run one sender/receiver pair under `driver`; returns the trace and how
+/// many timer events the driver popped. The n-th data packet is lost iff
+/// `data_loss[n % len]`, likewise acks; one-way delay of the n-th packet
+/// is 60 us plus `jitter[n % len]`.
+fn timed_exchange(
+    mut driver: TimerDriver,
+    cfg: &ConnConfig,
+    msgs: &[(u64, u64)],
+    data_loss: &[bool],
+    ack_loss: &[bool],
+    jitter: &[u64],
+) -> (TimerTrace, u64) {
+    let node = meshlayer_netsim::NodeId;
+    let mut a = Conn::new(5, 0, node(0), node(1), cfg.clone());
+    let mut b = Conn::new(5, 1, node(1), node(0), cfg.clone());
+    let mut heap = BinaryHeap::new();
+    let mut pushed = 0u64;
+    let mut push = |heap: &mut BinaryHeap<_>, at: SimTime, step: Step| {
+        heap.push(Reverse((at, step, pushed)));
+        pushed += 1;
+    };
+    for (i, &(at_us, _)) in msgs.iter().enumerate() {
+        push(&mut heap, SimTime::from_micros(at_us), Step::Send(i));
+    }
+    let mut wire: Vec<Packet> = Vec::new();
+    let mut trace = TimerTrace {
+        fires: Vec::new(),
+        sent: Vec::new(),
+        timeouts: 0,
+        fast_retx: 0,
+        delivered: 0,
+    };
+    let (mut n_data, mut n_ack, mut timer_pops) = (0usize, 0usize, 0u64);
+    while let Some(Reverse((now, step, _))) = heap.pop() {
+        // The sender's output, if this step poked it.
+        let out: Option<ConnOutput> = match step {
+            Step::Send(i) => Some(a.send_message(i as u64 + 1, msgs[i].1, now)),
+            Step::ToA(p) => Some(a.on_packet(&wire[p], now)),
+            Step::ToB(p) => {
+                let o = b.on_packet(&wire[p], now);
+                trace.delivered += o.delivered.len() as u64;
+                for ack in o.packets {
+                    let lost = ack_loss[n_ack % ack_loss.len()];
+                    let delay = 60_000 + jitter[n_ack % jitter.len()];
+                    n_ack += 1;
+                    if !lost {
+                        wire.push(ack);
+                        push(
+                            &mut heap,
+                            now + SimDuration::from_nanos(delay),
+                            Step::ToA(wire.len() - 1),
+                        );
+                    }
+                }
+                None
+            }
+            Step::Timer(gen) => {
+                timer_pops += 1;
+                let fire = match &mut driver {
+                    TimerDriver::PerRestart { .. } => Some(gen),
+                    TimerDriver::OneLive(slot) => match slot.on_pop(now, a.timer_state()) {
+                        TimerPop::Idle => None,
+                        TimerPop::Push(at) => {
+                            push(&mut heap, at, Step::Timer(0));
+                            None
+                        }
+                        TimerPop::Fire(gen) => Some(gen),
+                    },
+                };
+                fire.map(|gen| {
+                    let before = a.stats().timeouts;
+                    let o = a.on_timer(gen, now);
+                    if a.stats().timeouts > before {
+                        trace.fires.push(now);
+                    }
+                    o
+                })
+            }
+        };
+        let Some(out) = out else { continue };
+        for pkt in out.packets {
+            trace.sent.push((now, pkt.seq));
+            let lost = data_loss[n_data % data_loss.len()];
+            let delay = 60_000 + jitter[n_data % jitter.len()];
+            n_data += 1;
+            if !lost {
+                wire.push(pkt);
+                push(
+                    &mut heap,
+                    now + SimDuration::from_nanos(delay),
+                    Step::ToB(wire.len() - 1),
+                );
+            }
+        }
+        match &mut driver {
+            TimerDriver::PerRestart { scheduled_gen } => {
+                if let Some((at, gen)) = out.timer {
+                    if gen > *scheduled_gen {
+                        *scheduled_gen = gen;
+                        push(&mut heap, at, Step::Timer(gen));
+                    }
+                }
+            }
+            TimerDriver::OneLive(slot) => {
+                if let Some(at) = slot.arm(out.timer) {
+                    push(&mut heap, at, Step::Timer(0));
+                }
+            }
+        }
+    }
+    trace.timeouts = a.stats().timeouts;
+    trace.fast_retx = a.stats().fast_retx;
+    (trace, timer_pops)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Under arbitrary data loss, ack loss and delay jitter, the single
+    /// live timer event takes every RTO at the instant the
+    /// event-per-restart driver does — so the sender emits the same
+    /// packets at the same instants — with no more (and, once acks flow,
+    /// far fewer) timer events.
+    #[test]
+    fn one_live_timer_event_fires_when_an_event_per_restart_does(
+        msgs in prop::collection::vec((0u64..30_000, 1u64..80_000), 1..6),
+        data_loss in prop::collection::vec(0u8..6, 1..24),
+        ack_loss in prop::collection::vec(0u8..6, 1..24),
+        jitter in prop::collection::vec(0u64..400_000, 1..16),
+        algo_idx in 0usize..4,
+    ) {
+        let cfg = ConnConfig {
+            cc: [CcAlgo::Reno, CcAlgo::Cubic, CcAlgo::Ledbat, CcAlgo::TcpLp][algo_idx],
+            ..ConnConfig::default()
+        };
+        // About one packet in six is lost, and some packet of every cycle
+        // gets through, so the exchange ends.
+        let lossy = |draws: Vec<u8>| -> Vec<bool> {
+            draws.iter().map(|&d| d == 0).chain([false]).collect()
+        };
+        let (data_loss, ack_loss) = (lossy(data_loss), lossy(ack_loss));
+        let run = |driver| timed_exchange(driver, &cfg, &msgs, &data_loss, &ack_loss, &jitter);
+        let (reference, ref_pops) = run(TimerDriver::PerRestart { scheduled_gen: 0 });
+        let (one_live, live_pops) = run(TimerDriver::OneLive(TimerSlot::default()));
+        prop_assert_eq!(&reference, &one_live);
+        prop_assert_eq!(reference.delivered, msgs.len() as u64, "exchange did not complete");
+        prop_assert!(live_pops <= ref_pops, "{live_pops} timer events vs {ref_pops}");
     }
 }

@@ -164,11 +164,15 @@ if [[ "${MESHLAYER_CI_SKIP_TESTS:-0}" != "1" ]]; then
 
   echo "== engine bench: smoke run + regression gate (1 and 4 threads) =="
   # A 2-second macro bench of the event engine at 1 and 4 engine
-  # threads, gated against the checked-in baseline: hard-fails only if
-  # the 1-thread events/sec drops below 80% of BENCH_engine.json (see
-  # EXPERIMENTS.md, "Engine throughput"). A <1.0x 4-thread speedup on
-  # these smoke sizes is expected on small hosts and only logs a WARN
-  # (bench_engine prints it) — it never fails CI.
+  # threads, gated against the smoke rows of the checked-in baseline:
+  # hard-fails if 1-thread host ns per simulated packet-hop exceeds
+  # 1.25x BENCH_engine.json's, or if the deterministic events per
+  # packet-hop moved by more than 1% (see EXPERIMENTS.md, "Engine
+  # throughput"; events/sec is not gated — an engine that needs fewer
+  # events for the same simulation lowers it while getting faster). A
+  # <1.0x 4-thread speedup on these smoke sizes is expected on small
+  # hosts and only logs a WARN (bench_engine prints it) — it never
+  # fails CI.
   MESHLAYER_OUT="$flight_out" MESHLAYER_SECS=2 MESHLAYER_WARMUP=1 \
     cargo run --offline --release -q -p meshlayer-bench --bin bench_engine -- \
     --smoke --threads 1,4 --gate BENCH_engine.json
@@ -183,8 +187,9 @@ if [[ "${MESHLAYER_CI_SKIP_TESTS:-0}" != "1" ]]; then
   cargo run --offline --release -q --bin meshctl -- validate-trace "$flight_out/ci_trace.json"
 
   echo "== engine observatory: profiling overhead ceiling =="
-  # Paired 1-thread runs: profiled throughput must stay within 5% of
-  # unprofiled (phase timers piggyback on existing clock reads).
+  # Paired 1-thread runs: the profiled loop must stay within 5% of the
+  # unprofiled one, which reads no clock (profiling times a sample of
+  # each event kind, and the phase timers reuse those reads).
   MESHLAYER_OUT="$flight_out" MESHLAYER_SECS=2 MESHLAYER_WARMUP=1 \
     cargo run --offline --release -q -p meshlayer-bench --bin bench_engine -- --overhead-check
 fi

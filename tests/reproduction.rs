@@ -252,3 +252,109 @@ fn a5_direction_sdn_avoids_congested_link() {
         "SDN-informed p90 {informed:.1} not clearly better than blind {blind:.1}"
     );
 }
+
+// ---------------------------------------------------------------------
+// Same simulation, whatever the engine does: pinned model fingerprints
+// ---------------------------------------------------------------------
+
+/// Everything the model decided in a run — per-class completions and
+/// latency, per-link bytes and drops, transport recovery, root outcomes —
+/// and nothing the engine is free to change (event counts, host time).
+fn model_fingerprint(m: &meshlayer::core::RunMetrics) -> String {
+    use meshlayer::flightrec::digest::{fold_bytes, fold_u64, FNV_OFFSET};
+    let mut out = String::new();
+    for c in &m.classes {
+        out.push_str(&format!(
+            "{}: completed={} failed={} p50={}ms p99={}ms\n",
+            c.class, c.completed, c.failed, c.p50_ms, c.p99_ms
+        ));
+    }
+    // Per link, folded: a packet taking another path, or one more drop on
+    // one link, changes the fold even when the totals agree.
+    let (mut tx, mut drops, mut fold) = (0u64, 0u64, FNV_OFFSET);
+    for l in &m.links {
+        tx += l.tx_bytes;
+        drops += l.drops;
+        fold = fold_u64(
+            fold_u64(fold_bytes(fold, l.name.as_bytes()), l.tx_bytes),
+            l.drops,
+        );
+    }
+    out.push_str(&format!(
+        "links: n={} tx_bytes={tx} drops={drops} per_link={fold:016x}\n",
+        m.links.len()
+    ));
+    out.push_str(&format!(
+        "transport: fast_retx={} timeouts={} msgs_delivered={}\n",
+        m.transport.fast_retx, m.transport.timeouts, m.transport.msgs_delivered
+    ));
+    out.push_str(&format!(
+        "roots: ok={} failed={}\n",
+        m.world.roots_ok, m.world.roots_failed
+    ));
+    out
+}
+
+fn elib_fingerprint(xlayer: XLayerConfig) -> String {
+    let mut spec = elibrary(&ElibraryParams {
+        ls_rps: 40.0,
+        batch_rps: 40.0,
+        ..ElibraryParams::default()
+    });
+    spec.xlayer = xlayer;
+    spec.config.seed = 42;
+    spec.config.duration = SimDuration::from_secs(3);
+    spec.config.warmup = SimDuration::from_secs(1);
+    spec.config.cooldown = SimDuration::from_secs(1);
+    model_fingerprint(&Simulation::build(spec).run())
+}
+
+/// The engine may change how many events a run costs (ISSUE 13 cut a
+/// third of them), never what the run computes. These fingerprints were
+/// captured at commit 84d1cea — one `LinkTx` and one `PktArrive` per hop,
+/// one `ConnTimer` per timer restart — and must hold for every engine
+/// that follows. A deliberate model change re-pins them and says why.
+#[test]
+fn model_fingerprints_match_the_pre_diet_engine() {
+    assert_eq!(
+        elib_fingerprint(XLayerConfig::baseline()),
+        PIN_ELIB_BASELINE
+    );
+    assert_eq!(
+        elib_fingerprint(XLayerConfig::paper_prototype()),
+        PIN_ELIB_PROTOTYPE
+    );
+    // A generated 52-pod zonal fabric, 1 sim-s of the all-packet mix.
+    let mut p = meshlayer::core::TopoParams::sized(50, 2000.0);
+    p.mix = meshlayer::core::TopoMix::BackgroundPacket;
+    let mut spec = p.spec();
+    spec.config.duration = SimDuration::from_millis(1_000);
+    spec.config.warmup = SimDuration::from_millis(250);
+    spec.config.cooldown = SimDuration::from_millis(250);
+    let fabric = model_fingerprint(&Simulation::build(spec).run());
+    assert_eq!(fabric, PIN_FABRIC_50);
+}
+
+const PIN_ELIB_BASELINE: &str = "\
+batch-analytics: completed=42 failed=0 p50=42.074112ms p99=267.911168ms
+latency-sensitive: completed=39 failed=0 p50=21.2992ms p99=51.511296ms
+links: n=12 tx_bytes=666966430 drops=0 per_link=fea6429a7ed4c1cd
+transport: fast_retx=148 timeouts=47 msgs_delivered=1664
+roots: ok=237 failed=0
+";
+const PIN_ELIB_PROTOTYPE: &str = "\
+batch-analytics: completed=42 failed=0 p50=38.141952ms p99=156.403545ms
+latency-sensitive: completed=39 failed=0 p50=17.104896ms p99=26.5084ms
+links: n=12 tx_bytes=635811320 drops=0 per_link=1d57b4741adb5493
+transport: fast_retx=190 timeouts=24 msgs_delivered=1664
+roots: ok=237 failed=0
+";
+const PIN_FABRIC_50: &str = "\
+analytics: completed=195 failed=0 p50=7.913472ms p99=12.156928ms
+browse: completed=97 failed=0 p50=7.979008ms p99=13.778317ms
+checkout: completed=44 failed=0 p50=8.486912ms p99=11.63264ms
+elephant: completed=628 failed=0 p50=8.11008ms p99=12.419072ms
+links: n=114 tx_bytes=159169132 drops=0 per_link=3722dc60d057bc98
+transport: fast_retx=0 timeouts=0 msgs_delivered=50238
+roots: ok=1925 failed=0
+";
