@@ -9,7 +9,7 @@ fn main() {
     if let Some(code) = meshlayer_bench::handle_flight("a1_ablation") {
         std::process::exit(code);
     }
-    let len = RunLength::from_env_and_args();
+    let len = RunLength::from_env();
     let rps: f64 = meshlayer_bench::positional_args()
         .first()
         .and_then(|a| a.parse().ok())

@@ -21,8 +21,8 @@
 //!   injected fault into its causal chain as the root cause.
 //!
 //! `--record` / `--replay` exercise the canonical chaos capture: one run
-//! scheduling **all five fault kinds**, recorded (or replayed — at any
-//! `--threads` count) bit-identically.
+//! scheduling **all five fault kinds**, recorded (or replayed)
+//! bit-identically.
 
 use meshlayer_apps::{elibrary, fanout, ElibraryParams};
 use meshlayer_bench::{artifact_dir, RunLength};
@@ -385,7 +385,7 @@ fn main() {
     if let Some(code) = meshlayer_bench::handle_flight_with("a7_chaos", chaos_flight_spec) {
         std::process::exit(code);
     }
-    let len = RunLength::from_env_and_args();
+    let len = RunLength::from_env();
     let rps: f64 = meshlayer_bench::positional_args()
         .first()
         .and_then(|a| a.parse().ok())
@@ -395,7 +395,7 @@ fn main() {
         len.secs, len.seed
     );
     println!("# every fault is a seeded script event: same spec + seed => same injections,");
-    println!("# same flight frames, bit-identical replay at any --threads count.");
+    println!("# same flight frames, bit-identical replay.");
     println!();
     retry_storm(rps, len);
     outlier_recovery(rps, len);

@@ -10,19 +10,14 @@
 //! Flags:
 //! - `--smoke`: short CI run (2 sim-seconds, reduced point set) unless
 //!   `MESHLAYER_SECS` explicitly overrides.
-//! - `--threads 1,2,4,8`: thread-scaling mode — repeat the sweep at each
-//!   engine thread count and emit per-count `scaling` rows with a
-//!   `speedup_vs_1t` column (1 is always included; the headline
-//!   ns/packet-hop stays the 1-thread figure).
 //! - `--gate <baseline.json>`: exit non-zero if, over the runs the
 //!   checked-in baseline also has (same rps, optimization and length),
-//!   1-thread host ns per packet-hop exceeds 1.25x the baseline's, or
+//!   host ns per packet-hop exceeds 1.25x the baseline's, or
 //!   the deterministic events per packet-hop moved by more than 1 %.
 //! - `--profile <trace.json>`: phase-profile every run and write one
-//!   Chrome trace-event file (load at ui.perfetto.dev): per-window
-//!   drain/barrier/commit spans, per-worker drain lanes, plus a
-//!   measured serial-fraction/Amdahl summary per thread count.
-//! - `--overhead-check`: paired 1-thread smoke — fail (exit 1) if the
+//!   Chrome trace-event file (load at ui.perfetto.dev), one track of
+//!   ~1 ms event slices per run.
+//! - `--overhead-check`: paired smoke — fail (exit 1) if the
 //!   profiled run's speed drops below 95 % of the unprofiled run's
 //!   (whose loop reads no clock at all).
 //! - `--topo 100,250,1000`: pod counts for the topology-scale axis —
@@ -38,7 +33,7 @@
 //! already.
 
 use meshlayer_bench::{
-    artifact_dir, engine_scaling_bench, run_elibrary_profiled, topo_scale_bench,
+    artifact_dir, engine_macro_bench, run_elibrary_profiled, topo_scale_bench,
     write_profile_artifact, EngineBenchReport, RunLength,
 };
 use meshlayer_core::XLayerConfig;
@@ -60,17 +55,15 @@ const RSS_CEILING: f64 = 1.2;
 /// (`--overhead-check`): phase timing is meant to be low-overhead.
 const OVERHEAD_FLOOR: f64 = 0.95;
 
-/// Paired smoke comparing profiled vs unprofiled 1-thread loop time over
+/// Paired smoke comparing profiled vs unprofiled loop time over
 /// the same run (same events, same packet-hops). Best-of-2 on each side
 /// to damp scheduler noise.
 fn overhead_check(len: RunLength) -> i32 {
-    let mut tl = len;
-    tl.threads = 1;
     let mut best = [u64::MAX; 2];
     for (i, profile) in [false, true].into_iter().enumerate() {
         for _ in 0..2 {
             let (_, m, _) =
-                run_elibrary_profiled(30.0, XLayerConfig::paper_prototype(), tl, profile);
+                run_elibrary_profiled(30.0, XLayerConfig::paper_prototype(), len, profile);
             best[i] = best[i].min(m.wall_ns);
         }
     }
@@ -137,6 +130,8 @@ fn gate_pair(what: &str, now: Cost, base: Cost, baseline_path: &str) -> bool {
 }
 
 fn main() {
+    // Exits 2 on a flag the harness does not know.
+    meshlayer_bench::positional_args();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let baseline_path = args.iter().position(|a| a == "--gate").map(|i| {
@@ -145,26 +140,6 @@ fn main() {
             std::process::exit(2);
         })
     });
-    // `--threads` here takes a comma list of counts to sweep, unlike the
-    // single-count knob of the other bins.
-    let thread_counts: Vec<usize> = args
-        .iter()
-        .position(|a| a == "--threads")
-        .map(|i| {
-            let v = args.get(i + 1).cloned().unwrap_or_else(|| {
-                eprintln!("bench_engine: --threads requires a comma list, e.g. 1,2,4,8");
-                std::process::exit(2);
-            });
-            v.split(',')
-                .map(|p| {
-                    p.trim().parse().unwrap_or_else(|_| {
-                        eprintln!("bench_engine: bad thread count {p:?} in --threads {v}");
-                        std::process::exit(2);
-                    })
-                })
-                .collect()
-        })
-        .unwrap_or_else(|| vec![1]);
     // `--topo` takes a comma list of pod counts; `0` entries are dropped,
     // so `--topo 0` skips the topology-scale axis.
     let topo_pods: Vec<usize> = args
@@ -212,12 +187,11 @@ fn main() {
     };
 
     eprintln!(
-        "bench_engine: fig4 macro bench, rps={points:?}, {}s per run, threads {thread_counts:?} \
-         ({} serial runs per count)...",
+        "bench_engine: fig4 macro bench, rps={points:?}, {}s per run ({} serial runs)...",
         len.secs,
         points.len() * 2
     );
-    let mut report = engine_scaling_bench(&points, len, &thread_counts);
+    let mut report = engine_macro_bench(&points, len);
     if !topo_pods.is_empty() {
         let topo_rps = if smoke { 20_000.0 } else { 100_000.0 };
         // Generated fabrics process orders of magnitude more events per
@@ -225,7 +199,6 @@ fn main() {
         // keeps the artifact regenerable on every PR.
         let mut tl = len;
         tl.secs = tl.secs.min(2);
-        tl.threads = 1;
         eprintln!(
             "bench_engine: topology scale, pods={topo_pods:?} at {topo_rps:.0} rps, {}s per fabric...",
             tl.secs
@@ -234,25 +207,6 @@ fn main() {
     }
     print!("{}", report.render());
     write_profile_artifact();
-
-    // Thread-scaling sanity: on real multi-core hosts parallel rows
-    // should beat 1 thread, but smoke-sized runs (and 1-core hosts) may
-    // legitimately not — so this only warns, it never fails the run.
-    for row in report.scaling.iter().filter(|r| r.threads > 1) {
-        if row.overhead_only {
-            eprintln!(
-                "bench_engine: note: {} threads > host parallelism {} — the {:.2}x figure \
-                 measures coordination overhead only, not a regression",
-                row.threads, report.host_parallelism, row.speedup_vs_1t
-            );
-        } else if row.speedup_vs_1t < 1.0 {
-            eprintln!(
-                "bench_engine: WARN: {} threads ran at {:.2}x vs 1 thread \
-                 (host parallelism {}, {}s runs) — expected on tiny runs or few cores",
-                row.threads, row.speedup_vs_1t, report.host_parallelism, report.secs
-            );
-        }
-    }
 
     let dir = artifact_dir();
     if let Err(e) = std::fs::create_dir_all(&dir) {

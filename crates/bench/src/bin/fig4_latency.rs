@@ -11,7 +11,7 @@ fn main() {
     if let Some(code) = meshlayer_bench::handle_flight("fig4_latency") {
         std::process::exit(code);
     }
-    let len = RunLength::from_env_and_args();
+    let len = RunLength::from_env();
     let points: Vec<f64> = meshlayer_bench::positional_args()
         .iter()
         .filter_map(|a| a.parse().ok())

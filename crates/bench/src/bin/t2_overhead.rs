@@ -30,8 +30,10 @@ fn run(depth: usize, with_overhead: bool, len: RunLength) -> (f64, f64) {
 }
 
 fn main() {
+    // Exits 2 on a flag the harness does not know.
+    meshlayer_bench::positional_args();
     let len = {
-        let mut l = RunLength::from_env_and_args();
+        let mut l = RunLength::from_env();
         l.secs = l.secs.min(15);
         l
     };

@@ -9,14 +9,13 @@
 //!   world cheap even in debug builds);
 //! - `--record`: capture the canonical generated-fabric run (FLTREC01,
 //!   modest load so the every-packet capture stays small);
-//! - `--replay`: re-run against the capture and report divergences —
-//!   ci.sh records at 1 thread and replays at 4, so the generated
-//!   fabric is held to the same bit-identity bar as the e-library
-//!   worlds.
+//! - `--replay`: re-run against the capture and report divergences, so
+//!   the generated fabric is held to the same bit-identity bar as the
+//!   e-library worlds.
 //!
 //! Flags: `--pods N` (default 200), `--rps R` (default 5000 for the
 //! sweep; the record/replay scenario is fixed at 500 so both sides
-//! agree), `--rss-ceiling-mib N`, plus the shared `--threads`.
+//! agree), `--rss-ceiling-mib N`.
 
 use meshlayer_bench::{handle_flight_with, peak_rss_bytes, run_profiled, RunLength};
 use meshlayer_core::{Simulation, TopoParams};
@@ -53,7 +52,7 @@ fn main() {
     let rps: f64 = parse_num(&args, "--rps").unwrap_or(5_000.0);
     let ceiling_mib: Option<u64> = parse_num(&args, "--rss-ceiling-mib");
 
-    let mut len = RunLength::from_env_and_args();
+    let mut len = RunLength::from_env();
     if std::env::var("MESHLAYER_SECS").is_err() {
         len.secs = 2;
     }
@@ -66,10 +65,9 @@ fn main() {
     let mut spec = p.spec();
     len.apply(&mut spec);
     eprintln!(
-        "topo_smoke: {} pods on a generated zonal fabric at {rps:.0} rps, {}s, {} thread(s)...",
+        "topo_smoke: {} pods on a generated zonal fabric at {rps:.0} rps, {}s...",
         p.pod_count(),
-        len.secs,
-        len.threads
+        len.secs
     );
     let mut sim = Simulation::build(spec);
     let m = run_profiled(&mut sim, "topo_smoke");

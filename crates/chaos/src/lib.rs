@@ -5,7 +5,7 @@
 //! simulated times. Because the script is part of the spec and every
 //! injection travels through the engine's event loop as an ordinary
 //! event, a chaos run is exactly as deterministic as a fault-free run —
-//! it records and replays bit-identically at any thread count, and every
+//! it records and replays bit-identically, and every
 //! injection (and its later clear) lands in the flight recorder as a
 //! tagged fault frame.
 //!

@@ -13,7 +13,7 @@
 //! whose `causal chain` line asserts the expected ordering.
 //!
 //! Everything here is a pure function of already-deterministic inputs,
-//! so the rendered report is byte-identical at any thread count.
+//! so the rendered report is byte-identical from run to run.
 
 use crate::policy::PolicyTransition;
 use meshlayer_flightrec::{DecisionKind, FlightLog};

@@ -148,7 +148,9 @@ pub struct RunMetrics {
 impl RunMetrics {
     /// Harvest metrics from a finished simulation.
     pub(crate) fn collect(sim: &mut Simulation, events: u64) -> RunMetrics {
-        let now = sim.now();
+        // Every event up to `end_at` ran, so that is when the run ended;
+        // `sim.now()` is whichever leftover event the loop popped last.
+        let now = sim.end_at;
         let classes = sim.recorder.summaries();
         let links = sim
             .fabric
@@ -254,8 +256,8 @@ impl RunMetrics {
             transport,
             world: sim.stats.clone(),
             events,
-            events_pushed: sim.events_pushed(),
-            events_popped: sim.events_popped(),
+            events_pushed: sim.queue.total_pushed(),
+            events_popped: sim.queue.total_popped(),
             wall_ns: sim.wall_ns,
             sim_seconds: now.as_secs_f64(),
             spans: sim.tracer.spans().len(),

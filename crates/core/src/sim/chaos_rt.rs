@@ -8,7 +8,7 @@
 //! through the event loop as an [`Ev::Fault`] — folded into the
 //! flight-recorder digest like any other event and written as a
 //! `TAG_FAULT` frame — so a chaos run records and replays
-//! bit-identically at any thread count.
+//! bit-identically.
 //!
 //! Mechanics per fault kind:
 //!

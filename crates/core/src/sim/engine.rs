@@ -15,7 +15,7 @@ use std::time::Instant;
 /// the unprofiled loop never touches the clock and the profiled one
 /// touches it twice per `STRIDE` events of a kind. A kind's reported wall
 /// time is its sample mean times its exact count.
-pub(crate) struct EvMeter {
+struct EvMeter {
     profiled: bool,
     counts: [u64; Ev::COUNT],
     /// Per kind: (events timed, nanoseconds they took).
@@ -30,7 +30,7 @@ impl EvMeter {
     /// ack, data, ack ...) in this deterministic event stream.
     const STRIDE: u64 = 61;
 
-    pub(crate) fn new(profiled: bool) -> EvMeter {
+    fn new(profiled: bool) -> EvMeter {
         EvMeter {
             profiled,
             counts: [0; Ev::COUNT],
@@ -40,7 +40,7 @@ impl EvMeter {
 
     /// Count one event of kind `code`; `Some(start)` if it is to be timed.
     #[inline(always)]
-    pub(crate) fn begin(&mut self, code: usize) -> Option<Instant> {
+    fn begin(&mut self, code: usize) -> Option<Instant> {
         let n = self.counts[code];
         self.counts[code] = n + 1;
         (self.profiled && (n < Self::DENSE || n.is_multiple_of(Self::STRIDE))).then(Instant::now)
@@ -49,7 +49,7 @@ impl EvMeter {
     /// The timed event that started at `start` is done; returns the
     /// closing clock read for the phase profiler to reuse.
     #[inline]
-    pub(crate) fn end(&mut self, code: usize, start: Instant) -> Instant {
+    fn end(&mut self, code: usize, start: Instant) -> Instant {
         let end = Instant::now();
         let slot = &mut self.timed[code];
         slot.0 += 1;
@@ -58,7 +58,7 @@ impl EvMeter {
     }
 
     /// Per kind: (exact count, estimated wall nanoseconds).
-    pub(crate) fn profile(&self) -> [(u64, u64); Ev::COUNT] {
+    fn profile(&self) -> [(u64, u64); Ev::COUNT] {
         std::array::from_fn(|code| {
             let (count, (timed, ns)) = (self.counts[code], self.timed[code]);
             let wall = (ns as u128 * count as u128).checked_div(timed as u128);
@@ -68,25 +68,15 @@ impl EvMeter {
 }
 
 impl Simulation {
-    /// Run to completion: seed the workload arrivals, drain events until
-    /// the configured duration elapses, then collect metrics.
-    ///
-    /// `config.threads > 1` selects the sharded conservative-parallel
-    /// engine ([`Simulation::run_sharded`]); its committed event stream
-    /// and metrics are bit-identical to the sequential loop.
-    pub fn run(&mut self) -> crate::metrics::RunMetrics {
-        let threads = self.spec.config.threads;
-        if threads > 1 {
-            self.run_sharded(threads)
-        } else {
-            self.run_sequential()
-        }
+    /// Schedule `ev` at `at`.
+    #[inline(always)]
+    pub(crate) fn push_ev(&mut self, at: SimTime, ev: Ev) {
+        self.queue.push(at, ev);
     }
 
     /// Push the initial event population: one arrival per workload
-    /// generator, the tick chains, and the first telemetry scrape —
-    /// shared verbatim by both engines.
-    pub(crate) fn seed_events(&mut self) {
+    /// generator, the tick chains, and the first telemetry scrape.
+    fn seed_events(&mut self) {
         for gen in 0..self.gens.len() {
             let at = self.gens[gen].next_at();
             if at < self.end_at {
@@ -122,7 +112,9 @@ impl Simulation {
         }
     }
 
-    pub(crate) fn run_sequential(&mut self) -> crate::metrics::RunMetrics {
+    /// Run to completion: seed the workload arrivals, drain events until
+    /// the configured duration elapses, then collect metrics.
+    pub fn run(&mut self) -> crate::metrics::RunMetrics {
         self.seed_events();
         let mut processed: u64 = 0;
         // Generous runaway guard: the densest expected runs are tens of
@@ -134,7 +126,7 @@ impl Simulation {
         let mut meter = EvMeter::new(self.profile_requested);
         let mut prof = self
             .profile_requested
-            .then(meshlayer_prof::PhaseProfiler::sequential);
+            .then(meshlayer_prof::PhaseProfiler::start);
         // Events already reported to the phase profiler.
         let mut reported: u64 = 0;
         let loop_wall = Instant::now();
@@ -150,7 +142,7 @@ impl Simulation {
             if let Some(start) = timed {
                 let end = meter.end(code, start);
                 if let Some(p) = prof.as_mut() {
-                    p.on_seq_events(end, processed - reported);
+                    p.on_events(end, processed - reported);
                     reported = processed;
                 }
             }
@@ -158,20 +150,14 @@ impl Simulation {
         }
         self.wall_ns = loop_wall.elapsed().as_nanos() as u64;
         if let Some(mut p) = prof {
-            p.on_seq_events(Instant::now(), processed - reported);
+            p.on_events(Instant::now(), processed - reported);
             self.profile = Some(p.finish(self.wall_ns));
         }
-        self.finish_run(&meter);
-        crate::metrics::RunMetrics::collect(self, processed)
-    }
-
-    /// Both engines' epilogue: publish the event profile, bring link
-    /// counters up to the end of the run, close the flight capture.
-    pub(crate) fn finish_run(&mut self, meter: &EvMeter) {
         self.ev_profile = meter.profile();
         // Every event up to and including `end_at` ran.
         self.settle_links_before(self.end_at + SimDuration::from_nanos(1));
         self.flight_finish();
+        crate::metrics::RunMetrics::collect(self, processed)
     }
 
     /// Credit released transmissions that ended before `t`, so link

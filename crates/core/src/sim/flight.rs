@@ -12,12 +12,9 @@
 //! run duration) are excluded, so two runs of the same `(spec, seed)`
 //! produce byte-identical event streams regardless of host load.
 //!
-//! The digest is also engine-agnostic: it folds the *committed* event
-//! stream, which both the sequential and the sharded engine
-//! (DESIGN.md §9) produce in the same total `(SimTime, push-seq)`
-//! order — so captures record and replay identically at any
-//! `--threads` count, and a thread-count change that altered even one
-//! commit would surface as a divergence.
+//! The digest folds the event stream in the order the loop handles it,
+//! the total `(SimTime, push-seq)` order — so a change to the engine
+//! that reordered even one event would surface as a divergence.
 
 use super::{Ev, Simulation};
 use meshlayer_flightrec::digest::{fold_bytes, fold_u64, FNV_OFFSET};

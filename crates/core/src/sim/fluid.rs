@@ -21,8 +21,7 @@
 //! carry arithmetic, so `injected == delivered + dropped` holds exactly
 //! per flow at any epoch length — then re-solves allocations for the
 //! next window. The event is wire-coded and FNV-digested like any
-//! other, and handled on the control LP, so captures stay byte-identical
-//! at any thread count.
+//! other, so fluid worlds record and replay like all-packet ones.
 //!
 //! Deliberate model limitation: a fluid class's load is applied on the
 //! ingress→replica path only; the downstream fan-out its requests would

@@ -22,7 +22,6 @@ mod engine;
 mod exec;
 mod flight;
 mod fluid;
-mod par;
 mod policy_rt;
 mod prov;
 mod rpc;
@@ -88,12 +87,6 @@ pub struct SimConfig {
     pub subset_size: usize,
     /// Time-series telemetry: scrape interval and SLO targets.
     pub telemetry: TelemetryConfig,
-    /// Worker threads for the event engine. `1` (the default) runs the
-    /// sequential loop; `> 1` runs the sharded conservative-parallel
-    /// engine (see [`mod@self::par`]), which is bit-identical to the
-    /// sequential engine for any thread count. Not part of the run's
-    /// identity: captures record/replay across different thread counts.
-    pub threads: usize,
 }
 
 impl Default for SimConfig {
@@ -116,7 +109,6 @@ impl Default for SimConfig {
             policy_push_delay: SimDuration::from_millis(10),
             subset_size: 0,
             telemetry: TelemetryConfig::default(),
-            threads: 1,
         }
     }
 }
@@ -521,10 +513,6 @@ pub struct Simulation {
     pub(crate) rng: SimRng,
     pub(crate) stats: WorldStats,
     pub(crate) end_at: SimTime,
-    /// Sharded-engine runtime, installed by a `threads > 1` run. While
-    /// present, event routing, the clock and the push/pop counters live
-    /// here instead of on `queue`.
-    pub(crate) shards: Option<par::ShardRt>,
     /// Flight-recorder capture/replay state, when attached.
     pub(crate) flight: Option<flight::FlightState>,
     /// Outcome of the last run's capture/replay, until taken.
@@ -597,9 +585,9 @@ impl Simulation {
             })
             .collect();
         for (pid, name, service) in pod_list {
-            // Each sidecar draws from its LP's stream — a pure function
-            // of (seed, pod), never of thread/shard count.
-            let sc_rng = rng.lp_stream(pid.0 as u64);
+            // Each sidecar draws from its own stream, a pure function
+            // of (seed, pod).
+            let sc_rng = rng.pod_stream(pid.0 as u64);
             sidecars.push(
                 pid,
                 Sidecar::new(name, service.clone(), mesh.clone(), sc_rng),
@@ -697,7 +685,6 @@ impl Simulation {
             rng: rng.split("world"),
             stats: WorldStats::default(),
             end_at,
-            shards: None,
             flight: None,
             flight_outcome: None,
             wall_ns: 0,
@@ -711,26 +698,7 @@ impl Simulation {
     /// Current simulated time.
     #[inline(always)]
     pub fn now(&self) -> SimTime {
-        match &self.shards {
-            Some(rt) => rt.clock,
-            None => self.queue.now(),
-        }
-    }
-
-    /// Total events pushed by the last/current run, engine-agnostic.
-    pub(crate) fn events_pushed(&self) -> u64 {
-        match &self.shards {
-            Some(rt) => rt.pushed,
-            None => self.queue.total_pushed(),
-        }
-    }
-
-    /// Total events popped by the last/current run, engine-agnostic.
-    pub(crate) fn events_popped(&self) -> u64 {
-        match &self.shards {
-            Some(rt) => rt.popped,
-            None => self.queue.total_popped(),
-        }
+        self.queue.now()
     }
 
     /// The deployed cluster.
@@ -812,8 +780,8 @@ impl Simulation {
         &self.recorder
     }
 
-    /// Record wall-clock phase timings (drain/barrier/commit windows,
-    /// per-lane busy time) during the next `run()`. Wall-clock only:
+    /// Record wall-clock timings of the event loop during the next
+    /// `run()`. Wall-clock only:
     /// event order, RNG draws, metrics and flight-recorder captures are
     /// byte-identical whether or not profiling is enabled.
     pub fn enable_profiling(&mut self) {

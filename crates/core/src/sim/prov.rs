@@ -5,7 +5,7 @@
 //! send/delivery times, compute start/end). The tracker only *reuses*
 //! those values — it never draws RNG, never schedules events, and never
 //! touches the flight-recorder digest chain — so attribution is
-//! bit-deterministic at any engine thread count and a run with
+//! as deterministic as the run itself and a run with
 //! provenance compiled in is byte-identical to one without.
 //!
 //! Attribution invariant (tested in `tests/observability.rs`): for every

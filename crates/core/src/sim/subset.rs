@@ -16,7 +16,7 @@
 //! block is hit by some client as long as there are at least `n_blocks`
 //! client pods (property-tested below). Being a pure function of
 //! `(seed, service, client pod)`, subsetting never threatens
-//! determinism: the same world routes identically at any thread count.
+//! determinism: the same world routes identically on every run.
 
 use meshlayer_cluster::{Cluster, PodId};
 use meshlayer_simcore::{FxHashMap, SimRng};

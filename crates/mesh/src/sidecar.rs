@@ -19,11 +19,9 @@
 //!   [`Sidecar::should_retry`] decides whether (and when) to retry.
 //!
 //! A sidecar shares no mutable state with any other sidecar: its RNG is
-//! the pod-LP stream (`SimRng::lp_stream`, a pure function of
+//! the pod's own stream (`SimRng::pod_stream`, a pure function of
 //! `(seed, pod)`), and every cross-pod effect flows through the engine
-//! as a scheduled event. That isolation is what lets the sharded engine
-//! treat pod + sidecar as one logical process (DESIGN.md §9) without
-//! changing a single decision the sidecar makes.
+//! as a scheduled event.
 
 use crate::config::MeshConfig;
 use crate::lb::{LoadBalancer, PickCtx};
@@ -662,9 +660,9 @@ impl Sidecar {
         self.stats.retries += 1;
         // Full jitter (AWS-style): draw the actual wait uniformly from
         // [0, ceiling]. The draw comes from this sidecar's own RNG — the
-        // deterministic pod-LP stream — so replays and multi-threaded
-        // runs see the identical schedule, while concurrent failures
-        // across requests decorrelate instead of retrying in lockstep.
+        // deterministic per-pod stream — so replays see the identical
+        // schedule, while concurrent failures across requests
+        // decorrelate instead of retrying in lockstep.
         let ceiling = policy.backoff(attempt + 1);
         let backoff = if policy.full_jitter && ceiling > SimDuration::ZERO {
             SimDuration::from_nanos(self.rng.u64() % ceiling.as_nanos().saturating_add(1))

@@ -77,12 +77,10 @@ pub struct TapEvent<'a> {
 /// Implementations must be `Send + Sync`: links live inside the topology,
 /// which benchmark harnesses move across threads.
 ///
-/// **Ordering.** Taps fire from inside event handlers, and the sharded
-/// engine commits handlers one at a time in the same total
-/// `(SimTime, push-seq)` order the sequential engine pops — so tap
-/// observations arrive in an identical order at any thread count, and
-/// the flight recorder can fold them into its digest without any
-/// per-engine reordering.
+/// **Ordering.** Taps fire from inside event handlers, which the engine
+/// runs one at a time in the total `(SimTime, push-seq)` order — so tap
+/// observations arrive in the same order on every run of a spec, and
+/// the flight recorder can fold them into its digest as they come.
 pub trait PacketTap: Send + Sync {
     /// Observe one enqueue/dequeue/drop.
     fn on_packet(&self, ev: TapEvent<'_>);

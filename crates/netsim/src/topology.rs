@@ -184,18 +184,6 @@ impl Topology {
             .find(|&l| self.links[l.0 as usize].to() == b)
     }
 
-    /// Minimum propagation delay over the links matching `filter`, or
-    /// `None` when no link matches. A parallel scheduler uses this as its
-    /// conservative lookahead: an event on one side of a matching link
-    /// cannot affect the other side sooner than this delay.
-    pub fn min_link_delay(&self, mut filter: impl FnMut(&Link) -> bool) -> Option<SimDuration> {
-        self.links
-            .iter()
-            .filter(|l| filter(l))
-            .map(Link::delay)
-            .min()
-    }
-
     /// (Re)compute all-pairs next-hop tables. Runs Dijkstra from every node
     /// with edge weight = propagation delay + serialization time of a
     /// 1500-byte packet (so faster links are preferred on ties).

@@ -3,9 +3,7 @@
 //! The engine observatory (DESIGN.md §10). Two independent halves:
 //!
 //! * **Phase profiling** ([`PhaseProfiler`], [`PhaseSummary`]) —
-//!   wall-clock timers over the event engines' window phases
-//!   (drain / barrier / commit), per-lane busy time, and a measured
-//!   serial-fraction / Amdahl-fit summary, exported as Chrome
+//!   wall-clock timers over the event loop, exported as Chrome
 //!   trace-event JSON ([`chrome_trace_json`]) that Perfetto and
 //!   `chrome://tracing` load directly. Wall-clock only: enabling it
 //!   never touches simulation state, RNG draws, or the flight-recorder
@@ -13,7 +11,7 @@
 //! * **Latency provenance** ([`Layer`], [`Breakdown`], [`RequestProv`])
 //!   — sim-time-only decomposition of a request's end-to-end latency
 //!   into per-layer components that sum *exactly* to the recorded
-//!   latency. Deterministic at any engine thread count.
+//!   latency, and deterministic like the run itself.
 //!
 //! This crate is deliberately leaf-level (serde only) so every layer of
 //! the workspace — core, bench, the CLIs — can depend on it.

@@ -7,7 +7,7 @@
 //! reader (unattributed waits land in [`Layer::RetryWait`], which is
 //! where a retrying/hedging client actually spends them). Because the
 //! attribution uses only simulated timestamps already computed by the
-//! handlers, it is bit-deterministic at any engine thread count.
+//! handlers, it is as deterministic as the run itself.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;

@@ -12,13 +12,13 @@ use serde::Node;
 /// One complete-duration span on a `(pid, tid)` track.
 #[derive(Clone, Debug)]
 pub struct TraceSpan {
-    /// Span label (e.g. `drain`, `barrier`, `commit`, `drain lp3`).
+    /// Span label (e.g. `events`).
     pub name: String,
     /// Start, nanoseconds since the profiler's epoch.
     pub ts_ns: u64,
     /// Duration, nanoseconds.
     pub dur_ns: u64,
-    /// Track (thread) id: 0 is the committer, 1.. are drain workers.
+    /// Track (thread) id; the engine loop is track 0.
     pub tid: u32,
     /// Events merged into this span (0 when not applicable).
     pub events: u64,
@@ -89,8 +89,8 @@ fn str_node(s: &str) -> Node {
 /// Serialize one or more profiled runs as Chrome trace-event JSON.
 ///
 /// Each `(process name, book)` pair becomes one trace process (`pid` =
-/// its index), so e.g. a thread-scaling bench can put every thread
-/// count side by side in a single Perfetto view.
+/// its index), so a sweep can put every run side by side in a single
+/// Perfetto view.
 pub fn chrome_trace_json(parts: &[(&str, &TraceBook)]) -> String {
     let mut events: Vec<Node> = Vec::new();
     for (pid, (pname, book)) in parts.iter().enumerate() {
@@ -181,9 +181,9 @@ mod tests {
 
     fn book() -> TraceBook {
         let mut b = TraceBook::new(10);
-        b.name_thread(0, "committer");
+        b.name_thread(0, "engine");
         b.push(TraceSpan {
-            name: "commit".into(),
+            name: "events".into(),
             ts_ns: 1_500,
             dur_ns: 2_000,
             tid: 0,
@@ -194,7 +194,7 @@ mod tests {
 
     #[test]
     fn emitted_trace_round_trips_through_validator() {
-        let json = chrome_trace_json(&[("engine 1T", &book()), ("engine 4T", &book())]);
+        let json = chrome_trace_json(&[("run a", &book()), ("run b", &book())]);
         assert_eq!(validate_chrome_trace(&json), Ok(2));
         // Timestamps land in microseconds: 1500ns start -> ts 1.5.
         assert!(json.contains("\"ts\":1.5"), "{json}");

@@ -69,17 +69,15 @@ impl SimRng {
         self.split(label).split(&idx.to_string())
     }
 
-    /// The RNG stream of one logical process (a pod plus its sidecar) in
-    /// the sharded event engine: a pure function of `(seed, lp)`.
+    /// The RNG stream of one pod's sidecar: a pure function of
+    /// `(seed, pod)`, so the draws a pod consumes never depend on what
+    /// any other pod does.
     ///
-    /// This is deliberately the historical `split_idx("sidecar", pod)`
-    /// derivation — "sidecar" is the wire name of the pod-LP stream —
-    /// so captures recorded before the sharded engine replay unchanged,
-    /// and the draws a given pod consumes can never depend on how many
-    /// shards (threads) the engine happens to run with. A pinning test
-    /// hard-codes the derivation's output.
-    pub fn lp_stream(&self, lp: u64) -> SimRng {
-        self.split_idx("sidecar", lp)
+    /// The derivation is `split_idx("sidecar", pod)` and existing
+    /// captures replay only while it stays that; a pinning test
+    /// hard-codes its output.
+    pub fn pod_stream(&self, pod: u64) -> SimRng {
+        self.split_idx("sidecar", pod)
     }
 
     /// Uniform `f64` in `[0, 1)`.
@@ -196,12 +194,12 @@ mod tests {
         assert_ne!(a, b);
     }
 
-    /// Pins the `(seed, lp)` → stream derivation of [`SimRng::lp_stream`]
-    /// to literal values. If this test ever fails, the per-LP streams
+    /// Pins the `(seed, pod)` → stream derivation of [`SimRng::pod_stream`]
+    /// to literal values. If this test ever fails, the per-pod streams
     /// moved and every recorded capture is invalidated: do not update the
     /// constants without bumping the flight-recorder format.
     #[test]
-    fn lp_stream_derivation_is_pinned() {
+    fn pod_stream_derivation_is_pinned() {
         let root = SimRng::new(42);
         let expected: [(u64, u64); 4] = [
             (0, 7779028253670538330),
@@ -209,22 +207,25 @@ mod tests {
             (2, 14084948068515536441),
             (63, 14305704856544001626),
         ];
-        for (lp, first_draw) in expected {
+        for (pod, first_draw) in expected {
             assert_eq!(
-                root.lp_stream(lp).u64(),
+                root.pod_stream(pod).u64(),
                 first_draw,
-                "lp_stream({lp}) moved for seed 42"
+                "pod_stream({pod}) moved for seed 42"
             );
             // The named derivation and the historical split spell the
             // same stream.
             assert_eq!(
-                root.lp_stream(lp).u64(),
-                root.split_idx("sidecar", lp).u64()
+                root.pod_stream(pod).u64(),
+                root.split_idx("sidecar", pod).u64()
             );
         }
-        // Distinct LPs get distinct streams; other seeds differ too.
-        assert_ne!(root.lp_stream(0).u64(), root.lp_stream(1).u64());
-        assert_ne!(SimRng::new(43).lp_stream(0).u64(), root.lp_stream(0).u64());
+        // Distinct pods get distinct streams; other seeds differ too.
+        assert_ne!(root.pod_stream(0).u64(), root.pod_stream(1).u64());
+        assert_ne!(
+            SimRng::new(43).pod_stream(0).u64(),
+            root.pod_stream(0).u64()
+        );
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The detector runs inside the telemetry scrape loop — simulated time
 //! only, integer/f64 arithmetic on deterministic inputs — so the stream
-//! of [`AnomalyEvent`]s is bit-identical at any engine thread count,
-//! like every other telemetry artifact.
+//! of [`AnomalyEvent`]s is bit-identical from run to run, like every
+//! other telemetry artifact.
 //!
 //! Three detectors, all windowed and hysteretic (one event per
 //! excursion, not one per interval):

@@ -22,19 +22,18 @@ if [[ "${MESHLAYER_CI_SKIP_TESTS:-0}" != "1" ]]; then
   MESHLAYER_SECS=6 cargo test --offline --workspace -q
 
   echo "== flight recorder: record/replay divergence smoke =="
-  # Record a short canonical run on the sequential engine, replay it
-  # under the 4-thread sharded engine, and require a clean
-  # zero-divergence report — the executable form of the determinism
-  # guarantee in DESIGN.md §6/§7/§9 (thread count changes nothing).
+  # Record a short canonical run, replay it in a second process, and
+  # require a clean zero-divergence report — the executable form of the
+  # determinism guarantee in DESIGN.md §6/§7.
   flight_out="$(mktemp -d)"
   trap 'rm -rf "$flight_out"' EXIT
   MESHLAYER_OUT="$flight_out" MESHLAYER_SECS=3 MESHLAYER_WARMUP=1 \
-    cargo run --offline --release -q -p meshlayer-bench --bin fig4_latency -- --record --threads 1
+    cargo run --offline --release -q -p meshlayer-bench --bin fig4_latency -- --record
   replay_log="$(MESHLAYER_OUT="$flight_out" MESHLAYER_SECS=3 MESHLAYER_WARMUP=1 \
-    cargo run --offline --release -q -p meshlayer-bench --bin fig4_latency -- --replay --threads 4)"
+    cargo run --offline --release -q -p meshlayer-bench --bin fig4_latency -- --replay)"
   echo "$replay_log"
   if ! grep -q "0 divergences" <<<"$replay_log"; then
-    echo "ci: 4-thread replay of 1-thread capture diverged" >&2
+    echo "ci: replay of the fig4 capture diverged" >&2
     exit 1
   fi
 
@@ -82,16 +81,16 @@ if [[ "${MESHLAYER_CI_SKIP_TESTS:-0}" != "1" ]]; then
   echo "== chaos plane: all-fault-kinds record/replay + fault-rooted chain =="
   # The canonical chaos capture schedules every fault kind (crash+restart,
   # gray failure, link flap, rollback, partition) in one short run.
-  # Faults are engine events, so the determinism bar is unchanged: record
-  # sequentially, replay on the 4-thread sharded engine, zero divergence.
+  # Faults are engine events, so the determinism bar is unchanged:
+  # record, replay, zero divergence.
   MESHLAYER_OUT="$flight_out" MESHLAYER_SECS=3 MESHLAYER_WARMUP=1 \
-    cargo run --offline --release -q -p meshlayer-bench --bin a7_chaos -- --record --threads 1
+    cargo run --offline --release -q -p meshlayer-bench --bin a7_chaos -- --record
   chaos_replay="$(MESHLAYER_OUT="$flight_out" MESHLAYER_SECS=3 MESHLAYER_WARMUP=1 \
-    cargo run --offline --release -q -p meshlayer-bench --bin a7_chaos -- --replay --threads 4)"
+    cargo run --offline --release -q -p meshlayer-bench --bin a7_chaos -- --replay)"
   echo "$chaos_replay"
   rm -f "$flight_out/a7_chaos.flight"
   if ! grep -q "0 divergences" <<<"$chaos_replay"; then
-    echo "ci: 4-thread replay of the chaos capture diverged" >&2
+    echo "ci: replay of the chaos capture diverged" >&2
     exit 1
   fi
   # meshctl chaos is the incident loop plus injected faults: the causal
@@ -129,19 +128,19 @@ if [[ "${MESHLAYER_CI_SKIP_TESTS:-0}" != "1" ]]; then
   # in a DEBUG build on purpose: the arena/SoA pod state and the
   # hierarchical O(nodes+links) routing must keep even an unoptimized
   # binary inside a committed memory ceiling (DESIGN.md §13). Then the
-  # same fabric is held to the flight-recorder bar: record at 1 thread,
-  # replay at 4, zero divergence.
+  # same fabric is held to the flight-recorder bar: record, replay,
+  # zero divergence.
   MESHLAYER_OUT="$flight_out" MESHLAYER_SECS=2 MESHLAYER_WARMUP=1 \
     cargo run --offline -q -p meshlayer-bench --bin topo_smoke -- \
     --pods 200 --rps 2000 --rss-ceiling-mib 512
   MESHLAYER_OUT="$flight_out" MESHLAYER_SECS=2 MESHLAYER_WARMUP=1 \
-    cargo run --offline --release -q -p meshlayer-bench --bin topo_smoke -- --record --threads 1
+    cargo run --offline --release -q -p meshlayer-bench --bin topo_smoke -- --record
   topo_replay="$(MESHLAYER_OUT="$flight_out" MESHLAYER_SECS=2 MESHLAYER_WARMUP=1 \
-    cargo run --offline --release -q -p meshlayer-bench --bin topo_smoke -- --replay --threads 4)"
+    cargo run --offline --release -q -p meshlayer-bench --bin topo_smoke -- --replay)"
   echo "$topo_replay"
   rm -f "$flight_out/topo_smoke.flight"
   if ! grep -q "0 divergences" <<<"$topo_replay"; then
-    echo "ci: 4-thread replay of the generated-fabric capture diverged" >&2
+    echo "ci: replay of the generated-fabric capture diverged" >&2
     exit 1
   fi
 
@@ -162,20 +161,17 @@ if [[ "${MESHLAYER_CI_SKIP_TESTS:-0}" != "1" ]]; then
     exit 1
   fi
 
-  echo "== engine bench: smoke run + regression gate (1 and 4 threads) =="
-  # A 2-second macro bench of the event engine at 1 and 4 engine
-  # threads, gated against the smoke rows of the checked-in baseline:
-  # hard-fails if 1-thread host ns per simulated packet-hop exceeds
-  # 1.25x BENCH_engine.json's, or if the deterministic events per
-  # packet-hop moved by more than 1% (see EXPERIMENTS.md, "Engine
-  # throughput"; events/sec is not gated — an engine that needs fewer
-  # events for the same simulation lowers it while getting faster). A
-  # <1.0x 4-thread speedup on these smoke sizes is expected on small
-  # hosts and only logs a WARN (bench_engine prints it) — it never
-  # fails CI.
+  echo "== engine bench: smoke run + regression gate =="
+  # A 2-second macro bench of the event engine, gated against the smoke
+  # rows of the checked-in baseline: hard-fails if host ns per simulated
+  # packet-hop exceeds 1.25x BENCH_engine.json's, or if the
+  # deterministic events per packet-hop moved by more than 1% (see
+  # EXPERIMENTS.md, "Engine throughput"; events/sec is not gated — an
+  # engine that needs fewer events for the same simulation lowers it
+  # while getting faster).
   MESHLAYER_OUT="$flight_out" MESHLAYER_SECS=2 MESHLAYER_WARMUP=1 \
     cargo run --offline --release -q -p meshlayer-bench --bin bench_engine -- \
-    --smoke --threads 1,4 --gate BENCH_engine.json
+    --smoke --gate BENCH_engine.json
 
   echo "== engine observatory: profiled smoke + trace validation =="
   # A profiled fig4 smoke must emit a Chrome trace-event file that
@@ -183,11 +179,11 @@ if [[ "${MESHLAYER_CI_SKIP_TESTS:-0}" != "1" ]]; then
   # meshctl validate-trace is the checker users run by hand.
   MESHLAYER_OUT="$flight_out" MESHLAYER_SECS=2 MESHLAYER_WARMUP=1 \
     cargo run --offline --release -q -p meshlayer-bench --bin fig4_latency -- \
-    --threads 1 --profile "$flight_out/ci_trace.json" 20 40
+    --profile "$flight_out/ci_trace.json" 20 40
   cargo run --offline --release -q --bin meshctl -- validate-trace "$flight_out/ci_trace.json"
 
   echo "== engine observatory: profiling overhead ceiling =="
-  # Paired 1-thread runs: the profiled loop must stay within 5% of the
+  # Paired runs: the profiled loop must stay within 5% of the
   # unprofiled one, which reads no clock (profiling times a sample of
   # each event kind, and the phase timers reuse those reads).
   MESHLAYER_OUT="$flight_out" MESHLAYER_SECS=2 MESHLAYER_WARMUP=1 \

@@ -21,7 +21,7 @@
 //! * [`flightrec`] — flight recorder: deterministic event/packet/decision
 //!   capture with replay and divergence detection.
 //! * [`prof`] — the engine observatory: wall-clock phase profiling
-//!   (Chrome trace export, Amdahl fits) and sim-time latency provenance
+//!   (Chrome trace export) and sim-time latency provenance
 //!   (per-layer latency attribution, waterfalls).
 //! * [`core`] — the paper's contribution: provenance tracing and
 //!   cross-layer prioritization, plus the end-to-end simulation world.

@@ -29,27 +29,26 @@ fn secs(default: u64) -> u64 {
 
 /// A ~200-pod generated zonal world on the background-heavy mix, fluid
 /// or per-packet, load scaled down so per-packet captures stay small.
-fn bg_spec(mix: TopoMix, rps: f64, run_secs: u64, threads: usize) -> meshlayer::core::SimSpec {
+fn bg_spec(mix: TopoMix, rps: f64, run_secs: u64) -> meshlayer::core::SimSpec {
     let mut p = TopoParams::sized(200, rps);
     p.mix = mix;
     let mut spec = p.spec();
     spec.config.duration = SimDuration::from_secs(run_secs);
     spec.config.warmup = SimDuration::from_millis(200);
     spec.config.cooldown = SimDuration::from_millis(200);
-    spec.config.threads = threads;
     spec
 }
 
-/// The determinism bar with fluid flows live: a 4-thread run writes a
-/// byte-identical FLTREC01 capture to the 1-thread run, and the
-/// 4-thread engine replays the 1-thread capture with zero divergence.
-/// `FluidUpdate` events are wire-coded and digest-folded like any
-/// other, so this subsumes digest equality of the rate staircase.
+/// The determinism bar with fluid flows live: a second run of the same
+/// spec writes a byte-identical FLTREC01 capture, and a third replays
+/// it with zero divergence. `FluidUpdate` events are wire-coded and
+/// digest-folded like any other, so this subsumes digest equality of
+/// the rate staircase.
 #[test]
-fn fluid_capture_identical_1t_vs_4t() {
+fn fluid_capture_identical_run_to_run() {
     let run_secs = secs(1);
-    let base_path = flight_path("fluid-1t");
-    let mut rec = Simulation::build(bg_spec(TopoMix::BackgroundFluid, 2_000.0, run_secs, 1));
+    let base_path = flight_path("fluid-a");
+    let mut rec = Simulation::build(bg_spec(TopoMix::BackgroundFluid, 2_000.0, run_secs));
     rec.record_to("fluid", &base_path).expect("create capture");
     let m1 = rec.run();
     match rec.take_flight_outcome() {
@@ -70,30 +69,31 @@ fn fluid_capture_identical_1t_vs_4t() {
     assert_eq!(log.fluids[0].cause, 0, "first fluid frame must be the seed");
     assert!(log.fluids[0].demand_bps > 0);
 
-    let par_path = flight_path("fluid-4t");
-    let mut rec4 = Simulation::build(bg_spec(TopoMix::BackgroundFluid, 2_000.0, run_secs, 4));
-    rec4.record_to("fluid", &par_path).expect("create capture");
-    rec4.run();
-    match rec4.take_flight_outcome() {
+    let again_path = flight_path("fluid-b");
+    let mut rec2 = Simulation::build(bg_spec(TopoMix::BackgroundFluid, 2_000.0, run_secs));
+    rec2.record_to("fluid", &again_path)
+        .expect("create capture");
+    rec2.run();
+    match rec2.take_flight_outcome() {
         Some(FlightOutcome::Recorded(_)) => {}
         other => panic!("expected Recorded, got {other:?}"),
     }
     let base = std::fs::read(&base_path).unwrap();
-    let par = std::fs::read(&par_path).unwrap();
+    let again = std::fs::read(&again_path).unwrap();
     assert!(
-        base == par,
-        "4-thread fluid capture differs from 1-thread ({} vs {} bytes)",
-        par.len(),
+        base == again,
+        "two captures of the fluid world differ ({} vs {} bytes)",
+        again.len(),
         base.len()
     );
-    std::fs::remove_file(&par_path).ok();
+    std::fs::remove_file(&again_path).ok();
 
-    let mut rep = Simulation::build(bg_spec(TopoMix::BackgroundFluid, 2_000.0, run_secs, 4));
+    let mut rep = Simulation::build(bg_spec(TopoMix::BackgroundFluid, 2_000.0, run_secs));
     rep.replay_from(&base_path).expect("open capture");
     rep.run();
     match rep.take_flight_outcome() {
         Some(FlightOutcome::Replayed(r)) => {
-            assert!(r.ok(), "4-thread replay diverged: {:?}", r.divergence);
+            assert!(r.ok(), "replay diverged: {:?}", r.divergence);
             assert!(r.checked > 100, "only {} events checked", r.checked);
         }
         other => panic!("expected Replayed, got {other:?}"),
@@ -109,7 +109,7 @@ fn fluid_capture_identical_1t_vs_4t() {
 #[test]
 fn fluid_conservation_holds_under_chaos() {
     let run_secs = secs(3);
-    let mut spec = bg_spec(TopoMix::BackgroundFluid, 2_000.0, run_secs, 1);
+    let mut spec = bg_spec(TopoMix::BackgroundFluid, 2_000.0, run_secs);
     spec.chaos = Some(FaultScript::new().with(
         SimTime::from_millis(600),
         FaultKind::LinkFlap {
@@ -171,8 +171,8 @@ fn fluid_conservation_holds_under_chaos() {
 fn fluid_matches_packet_foreground_within_documented_bound() {
     let run_secs = secs(2);
     let rps = 4_000.0;
-    let m_pkt = Simulation::build(bg_spec(TopoMix::BackgroundPacket, rps, run_secs, 1)).run();
-    let m_fl = Simulation::build(bg_spec(TopoMix::BackgroundFluid, rps, run_secs, 1)).run();
+    let m_pkt = Simulation::build(bg_spec(TopoMix::BackgroundPacket, rps, run_secs)).run();
+    let m_fl = Simulation::build(bg_spec(TopoMix::BackgroundFluid, rps, run_secs)).run();
 
     // Event-count savings: the background is 85% of offered requests
     // (and ~99% of offered bytes), so the fluid world must process well

@@ -1,17 +1,17 @@
 //! Fleet-observability acceptance tests: the anomaly detector's
 //! signal-to-noise contract (flags real shifts fast, stays silent on
 //! steady load), the A6 incident timeline's causal reconstruction, and
-//! bit-identity of every new telemetry artifact across engine thread
-//! counts.
+//! bit-identity of every telemetry artifact from run to run.
 
 use meshlayer::apps::{elibrary, ElibraryParams};
-use meshlayer::core::{
-    build_incident_report, AdaptationConfig, RunMetrics, SimSpec, Simulation, XLayerConfig,
-};
+use meshlayer::core::{build_incident_report, AdaptationConfig, SimSpec, Simulation, XLayerConfig};
 use meshlayer::flightrec::FlightLog;
 use meshlayer::simcore::{SimDuration, SimTime};
 use meshlayer::telemetry::{AnomalyKind, SloTarget, TelemetryConfig, TelemetryHub};
 use std::path::PathBuf;
+
+mod common;
+use common::metrics_fingerprint;
 
 fn flight_path(name: &str) -> PathBuf {
     std::env::temp_dir()
@@ -47,9 +47,8 @@ fn steady_spec(rps: f64, duration: u64, xlayer: XLayerConfig) -> SimSpec {
 /// The A6 closed-loop setup: baseline mesh, burning SLO, controller
 /// armed with the paper-prototype policy. Contended load so the burn
 /// actually happens.
-fn incident_spec(threads: usize) -> SimSpec {
+fn incident_spec() -> SimSpec {
     let mut spec = steady_spec(80.0, secs(4), XLayerConfig::baseline());
-    spec.config.threads = threads;
     spec.config.telemetry = TelemetryConfig::default().with_target(SloTarget::new(
         "latency-sensitive",
         SimDuration::from_millis(100),
@@ -60,27 +59,6 @@ fn incident_spec(threads: usize) -> SimSpec {
         XLayerConfig::paper_prototype(),
     ));
     spec
-}
-
-/// `RunMetrics` serialized with host-dependent wall-clock fields zeroed
-/// (same convention as `tests/observability.rs`).
-fn metrics_fingerprint(m: &RunMetrics) -> String {
-    let json = serde_json::to_string(m).expect("serializable metrics");
-    let key = "\"wall_ns\":";
-    let mut out = String::with_capacity(json.len());
-    let mut rest = json.as_str();
-    while let Some(i) = rest.find(key) {
-        let after = i + key.len();
-        out.push_str(&rest[..after]);
-        out.push('0');
-        let tail = &rest[after..];
-        let end = tail
-            .find(|c: char| !c.is_ascii_digit())
-            .unwrap_or(tail.len());
-        rest = &tail[end..];
-    }
-    out.push_str(rest);
-    out
 }
 
 /// Steady fig4-shape load must not trip the latency change-point or
@@ -149,12 +127,12 @@ fn injected_shift_flagged_within_three_intervals() {
 /// controller decision → policy push → per-layer acks (from the flight
 /// log) → recovery — with the recovery shift flagged within 3 intervals
 /// of convergence. One recorded run: captures are append-heavy (every
-/// packet op), so the cross-thread identity check below runs without a
+/// packet op), so the run-to-run identity check below runs without a
 /// recorder and capture-byte identity is covered by `tests/prop_sim.rs`.
 #[test]
 fn a6_incident_chain_reconstructs_with_flight_log_join() {
-    let path = flight_path("incident-1t.flight");
-    let mut sim = Simulation::build(incident_spec(1));
+    let path = flight_path("incident.flight");
+    let mut sim = Simulation::build(incident_spec());
     sim.record_to("incident", &path).expect("create capture");
     let m = sim.run();
     let log = FlightLog::load(&path).expect("readable capture");
@@ -194,27 +172,24 @@ fn a6_incident_chain_reconstructs_with_flight_log_join() {
     );
 }
 
-/// Every new observability artifact — anomaly stream, hierarchy
-/// roll-up, the telemetry summary they live in, and the incident report
-/// built from it — is bit-identical at 1 and 4 engine threads.
+/// Every observability artifact — anomaly stream, hierarchy roll-up,
+/// the telemetry summary they live in, and the incident report built
+/// from it — is bit-identical between two runs of the same spec.
 #[test]
-fn incident_artifacts_identical_across_threads() {
+fn incident_artifacts_identical_run_to_run() {
     let mut artifacts: Vec<(String, String, String)> = Vec::new();
-    for threads in [1usize, 4] {
-        let mut sim = Simulation::build(incident_spec(threads));
+    for run in 0..2 {
+        let mut sim = Simulation::build(incident_spec());
         let m = sim.run();
         assert!(
             !m.telemetry.anomalies.is_empty(),
-            "{threads}t: contended adaptive run produced no anomalies"
+            "run {run}: contended adaptive run produced no anomalies"
         );
-        assert!(
-            !m.telemetry.rollup.is_empty(),
-            "{threads}t: no roll-up rows"
-        );
+        assert!(!m.telemetry.rollup.is_empty(), "run {run}: no roll-up rows");
         // Without a flight log the transition's convergence stands in
         // for the ack stage; the chain must still close.
         let report = build_incident_report(&m.telemetry, sim.policy().transitions(), None);
-        assert!(report.complete, "{threads}t:\n{}", report.render());
+        assert!(report.complete, "run {run}:\n{}", report.render());
         artifacts.push((
             serde_json::to_string(&m.telemetry).unwrap(),
             serde_json::to_string(&report).unwrap(),
@@ -222,8 +197,8 @@ fn incident_artifacts_identical_across_threads() {
         ));
     }
     let (t1, r1, m1) = &artifacts[0];
-    let (t4, r4, m4) = &artifacts[1];
-    assert_eq!(t1, t4, "telemetry summary differs across thread counts");
-    assert_eq!(r1, r4, "incident report differs across thread counts");
-    assert_eq!(m1, m4, "metrics fingerprint differs across thread counts");
+    let (t2, r2, m2) = &artifacts[1];
+    assert_eq!(t1, t2, "telemetry summary differs between runs");
+    assert_eq!(r1, r2, "incident report differs between runs");
+    assert_eq!(m1, m2, "metrics fingerprint differs between runs");
 }

@@ -2,13 +2,16 @@
 //! invisible to the simulation (byte-identical captures, identical
 //! metrics), and sim-time latency provenance must be exact (per-layer
 //! components sum to the recorded end-to-end latency for every request)
-//! and bit-deterministic across engine thread counts.
+//! and bit-deterministic from run to run.
 
 use meshlayer::apps::{elibrary, fanout, ElibraryParams};
 use meshlayer::core::{FlightOutcome, SimSpec, Simulation, XLayerConfig};
 use meshlayer::prof::{chrome_trace_json, validate_chrome_trace, Layer, ProfileReport};
 use meshlayer::simcore::SimDuration;
 use std::path::PathBuf;
+
+mod common;
+use common::metrics_fingerprint;
 
 fn flight_path(name: &str) -> PathBuf {
     std::env::temp_dir()
@@ -39,38 +42,14 @@ fn fanout_spec() -> SimSpec {
     spec
 }
 
-/// `RunMetrics` serialized with the host-dependent wall-clock fields
-/// zeroed (same convention as `tests/prop_sim.rs`).
-fn metrics_fingerprint(m: &meshlayer::core::RunMetrics) -> String {
-    let json = serde_json::to_string(m).expect("serializable metrics");
-    let key = "\"wall_ns\":";
-    let mut out = String::with_capacity(json.len());
-    let mut rest = json.as_str();
-    while let Some(i) = rest.find(key) {
-        let after = i + key.len();
-        out.push_str(&rest[..after]);
-        out.push('0');
-        let tail = &rest[after..];
-        let end = tail
-            .find(|c: char| !c.is_ascii_digit())
-            .unwrap_or(tail.len());
-        rest = &tail[end..];
-    }
-    out.push_str(rest);
-    out
-}
-
-/// Record a run, optionally profiled, at a thread count. Returns the
-/// capture bytes, the metrics fingerprint, and the profile report.
+/// Record a run, optionally profiled. Returns the capture bytes, the
+/// metrics fingerprint, and the profile report.
 fn recorded_run(
     spec: SimSpec,
-    threads: usize,
     profile: bool,
     tag: &str,
 ) -> (Vec<u8>, String, Option<ProfileReport>) {
     let path = flight_path(tag);
-    let mut spec = spec;
-    spec.config.threads = threads;
     let mut sim = Simulation::build(spec);
     sim.record_to("test", &path).expect("create capture");
     if profile {
@@ -88,95 +67,53 @@ fn recorded_run(
 }
 
 /// Phase profiling is observation only: captures and metrics are
-/// byte-identical with it on or off, on both engines.
+/// byte-identical with it on or off.
 #[test]
 fn profiling_leaves_captures_and_metrics_byte_identical() {
-    for threads in [1usize, 4] {
-        let (plain_bytes, plain_print, _) = recorded_run(
-            elib_spec(),
-            threads,
-            false,
-            &format!("plain-{threads}t.flight"),
-        );
-        let (prof_bytes, prof_print, report) = recorded_run(
-            elib_spec(),
-            threads,
-            true,
-            &format!("profiled-{threads}t.flight"),
-        );
-        assert!(
-            plain_bytes == prof_bytes,
-            "{threads}t: profiling changed the capture ({} vs {} bytes)",
-            plain_bytes.len(),
-            prof_bytes.len()
-        );
-        assert_eq!(
-            plain_print, prof_print,
-            "{threads}t: profiling changed RunMetrics"
-        );
-        let report = report.expect("profile present");
-        assert!(report.summary.events > 0, "{threads}t: no events profiled");
-        assert_eq!(report.summary.threads, threads);
-        if threads > 1 {
-            assert_eq!(report.summary.engine, "sharded");
-            assert!(report.summary.windows > 0, "sharded run saw no windows");
-            assert!(
-                report.summary.serial_fraction > 0.0 && report.summary.serial_fraction <= 1.0,
-                "serial fraction out of range: {}",
-                report.summary.serial_fraction
-            );
-        } else {
-            assert_eq!(report.summary.engine, "sequential");
-            assert_eq!(
-                report.summary.serial_fraction, 1.0,
-                "sequential engine is all serial"
-            );
-        }
-    }
+    let (plain_bytes, plain_print, _) = recorded_run(elib_spec(), false, "plain.flight");
+    let (prof_bytes, prof_print, report) = recorded_run(elib_spec(), true, "profiled.flight");
+    assert!(
+        plain_bytes == prof_bytes,
+        "profiling changed the capture ({} vs {} bytes)",
+        plain_bytes.len(),
+        prof_bytes.len()
+    );
+    assert_eq!(plain_print, prof_print, "profiling changed RunMetrics");
+    let report = report.expect("profile present");
+    assert!(report.summary.events > 0, "no events profiled");
 }
 
-/// The emitted Chrome trace JSON is well-formed and non-empty at every
-/// thread count.
+/// The emitted Chrome trace JSON is well-formed and non-empty.
 #[test]
 fn profiler_trace_json_validates() {
-    for threads in [1usize, 4] {
-        let mut spec = elib_spec();
-        spec.config.threads = threads;
-        let mut sim = Simulation::build(spec);
-        sim.enable_profiling();
-        sim.run();
-        let report = sim.take_profile().expect("profile present");
-        let json = chrome_trace_json(&[("engine", &report.trace)]);
-        let spans = validate_chrome_trace(&json)
-            .unwrap_or_else(|e| panic!("{threads}t trace invalid: {e}"));
-        assert!(spans > 0, "{threads}t: empty trace");
-    }
+    let mut sim = Simulation::build(elib_spec());
+    sim.enable_profiling();
+    sim.run();
+    let report = sim.take_profile().expect("profile present");
+    let json = chrome_trace_json(&[("engine", &report.trace)]);
+    let spans = validate_chrome_trace(&json).unwrap_or_else(|e| panic!("trace invalid: {e}"));
+    assert!(spans > 0, "empty trace");
 }
 
 /// Exactness: for every recorded request, the seven per-layer components
 /// sum to the recorded end-to-end latency — and the provenance stream is
-/// bit-identical across engine thread counts.
+/// bit-identical between two runs of the same spec.
 #[test]
-fn provenance_components_sum_exactly_and_match_across_threads() {
+fn provenance_components_sum_exactly_and_match_run_to_run() {
     type SpecFn = fn() -> SimSpec;
     let apps: [(&str, SpecFn); 2] = [("elibrary", elib_spec), ("fanout", fanout_spec)];
     for (name, build) in apps {
         let mut prints = Vec::new();
-        for threads in [1usize, 4] {
-            let mut spec = build();
-            spec.config.threads = threads;
-            let mut sim = Simulation::build(spec);
+        for run in 0..2 {
+            let mut sim = Simulation::build(build());
             sim.run();
             let provs = sim.request_provenance();
-            assert!(
-                !provs.is_empty(),
-                "{name} @ {threads}t: no provenance records"
-            );
+            assert!(!provs.is_empty(), "{name} run {run}: no provenance records");
             for p in provs {
                 assert_eq!(
                     p.breakdown.sum(),
                     p.total_ns,
-                    "{name} @ {threads}t: request {} components sum to {} ns, \
+                    "{name} run {run}: request {} components sum to {} ns, \
                      e2e is {} ns ({:?})",
                     p.request_id,
                     p.breakdown.sum(),
@@ -186,19 +123,19 @@ fn provenance_components_sum_exactly_and_match_across_threads() {
                 assert_eq!(
                     p.total_ns,
                     p.completed_ns - p.intended_ns,
-                    "{name} @ {threads}t: total disagrees with timestamps"
+                    "{name} run {run}: total disagrees with timestamps"
                 );
             }
             // Some latency must land in real layers, not just residuals.
             let fabric: u64 = provs.iter().map(|p| p.breakdown.get(Layer::Fabric)).sum();
             let app: u64 = provs.iter().map(|p| p.breakdown.get(Layer::App)).sum();
-            assert!(fabric > 0, "{name} @ {threads}t: no fabric time attributed");
-            assert!(app > 0, "{name} @ {threads}t: no app time attributed");
+            assert!(fabric > 0, "{name} run {run}: no fabric time attributed");
+            assert!(app > 0, "{name} run {run}: no app time attributed");
             prints.push(serde_json::to_string(&provs.to_vec()).unwrap());
         }
         assert_eq!(
             prints[0], prints[1],
-            "{name}: provenance differs between 1 and 4 threads"
+            "{name}: provenance differs between two runs of one spec"
         );
     }
 }

@@ -12,6 +12,9 @@ use meshlayer::workload::WorkloadSpec;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 
+mod common;
+use common::metrics_fingerprint;
+
 /// Build a random 1..=3-tier chain app.
 fn random_spec(
     tiers: usize,
@@ -107,13 +110,13 @@ proptest! {
         prop_assert!(m.transport.bytes_sent >= 1);
     }
 
-    /// Determinism for arbitrary specs: same seed, same world.
+    /// Determinism for arbitrary specs: same seed, same world — every
+    /// field of `RunMetrics` but the host's wall clock.
     #[test]
     fn simulation_determinism(seed in 0u64..500, xlayer_idx in 0usize..3) {
         let run = || {
             let spec = random_spec(2, 2, 20.0, 1.0, 8.0, xlayer_idx, seed);
-            let m = Simulation::build(spec).run();
-            (m.events, m.world.roots_ok, m.transport.bytes_sent)
+            metrics_fingerprint(&Simulation::build(spec).run())
         };
         prop_assert_eq!(run(), run());
     }
@@ -239,138 +242,6 @@ fn flight_replay_zero_divergence_across_apps() {
         );
         assert!(report.render().contains("0 divergences"));
     }
-}
-
-// ---------------------------------------------------------------------
-// Sharded engine: thread count changes nothing observable
-// ---------------------------------------------------------------------
-
-/// The three apps the sharded-engine identity bar is measured on:
-/// e-library (the paper's running example), the fig3-topology app
-/// (e-library at its default paper parameters), and the a2-scavenger
-/// app (classification + LEDBAT scavenger batch transport).
-fn shard_apps() -> [(&'static str, SpecFn); 3] {
-    [
-        ("elibrary", || {
-            let params = ElibraryParams {
-                ls_rps: 20.0,
-                batch_rps: 10.0,
-                ..ElibraryParams::default()
-            };
-            let mut spec = elibrary(&params);
-            spec.xlayer = XLayerConfig::paper_prototype();
-            spec
-        }),
-        ("fig3-topology", || {
-            let mut spec = elibrary(&ElibraryParams::default());
-            spec.xlayer = XLayerConfig::paper_prototype();
-            spec
-        }),
-        ("a2-scavenger", || {
-            let mut spec = elibrary(&ElibraryParams {
-                ls_rps: 20.0,
-                batch_rps: 20.0,
-                ..ElibraryParams::default()
-            });
-            spec.xlayer = XLayerConfig {
-                classify: true,
-                scavenger_batch: true,
-                ..XLayerConfig::baseline()
-            };
-            spec
-        }),
-    ]
-}
-
-/// `RunMetrics` serialized with the host-dependent wall-clock fields
-/// (the loop's `wall_ns` and the per-event profile's wall times) zeroed
-/// — everything else must be bit-identical across engine thread counts.
-fn metrics_fingerprint(m: &meshlayer::core::RunMetrics) -> String {
-    let json = serde_json::to_string(m).expect("serializable metrics");
-    let key = "\"wall_ns\":";
-    let mut out = String::with_capacity(json.len());
-    let mut rest = json.as_str();
-    while let Some(i) = rest.find(key) {
-        let after = i + key.len();
-        out.push_str(&rest[..after]);
-        out.push('0');
-        let tail = &rest[after..];
-        let end = tail
-            .find(|c: char| !c.is_ascii_digit())
-            .unwrap_or(tail.len());
-        rest = &tail[end..];
-    }
-    out.push_str(rest);
-    out
-}
-
-/// An N-thread run (N ∈ {2, 4, 8}) produces a byte-identical FLTREC01
-/// capture — and identical `RunMetrics` — to the 1-thread run, on all
-/// three identity apps.
-#[test]
-fn sharded_capture_byte_identical_across_thread_counts() {
-    for (name, build) in shard_apps() {
-        let base_path = flight_path(&format!("shard-{name}-1t.flight"));
-        let base_metrics = {
-            let mut spec = shorten(build());
-            spec.config.threads = 1;
-            let mut sim = Simulation::build(spec);
-            sim.record_to("test", &base_path).expect("create capture");
-            let m = sim.run();
-            match sim.take_flight_outcome() {
-                Some(FlightOutcome::Recorded(_)) => {}
-                other => panic!("expected a recording, got {other:?}"),
-            }
-            m
-        };
-        let base_bytes = std::fs::read(&base_path).unwrap();
-        let base_print = metrics_fingerprint(&base_metrics);
-        for threads in [2usize, 4, 8] {
-            let path = flight_path(&format!("shard-{name}-{threads}t.flight"));
-            let mut spec = shorten(build());
-            spec.config.threads = threads;
-            let mut sim = Simulation::build(spec);
-            sim.record_to("test", &path).expect("create capture");
-            let m = sim.run();
-            match sim.take_flight_outcome() {
-                Some(FlightOutcome::Recorded(_)) => {}
-                other => panic!("expected a recording, got {other:?}"),
-            }
-            let bytes = std::fs::read(&path).unwrap();
-            assert!(
-                bytes == base_bytes,
-                "{name}: {threads}-thread capture differs from 1-thread \
-                 ({} vs {} bytes)",
-                bytes.len(),
-                base_bytes.len()
-            );
-            assert_eq!(
-                metrics_fingerprint(&m),
-                base_print,
-                "{name}: {threads}-thread RunMetrics differ from 1-thread"
-            );
-        }
-    }
-}
-
-/// A capture recorded by the sequential engine replays with zero
-/// divergence under the 4-thread sharded engine.
-#[test]
-fn sharded_replay_of_sequential_capture() {
-    let (name, build) = shard_apps()[0];
-    let path = flight_path(&format!("shard-replay-{name}.flight"));
-    let mut rec_spec = shorten(build());
-    rec_spec.config.threads = 1;
-    record_run(rec_spec, &path);
-    let mut replay_spec = shorten(build());
-    replay_spec.config.threads = 4;
-    let report = replay_run(replay_spec, &path);
-    assert!(
-        report.ok(),
-        "4-thread replay of 1-thread capture diverged:\n{}",
-        report.render()
-    );
-    assert!(report.checked > 100, "only {} events", report.checked);
 }
 
 #[test]

@@ -23,6 +23,19 @@ fn short_run(secs: u64, slo: Option<SloTarget>) -> (Simulation, RunMetrics) {
     (sim, m)
 }
 
+/// The run's length and its link utilizations are taken at the
+/// configured end, not at whichever leftover event (an RTO timer, a
+/// packet still in flight) the loop happened to pop past it.
+#[test]
+fn run_metrics_end_at_the_configured_duration() {
+    let (_, m) = short_run(2, None);
+    assert!(
+        m.events_pushed > m.events_popped,
+        "the queue should still hold events past the end"
+    );
+    assert_eq!(m.sim_seconds, 2.0);
+}
+
 #[test]
 fn seeded_run_yields_monotone_p99_series() {
     let (_, m) = short_run(3, None);
