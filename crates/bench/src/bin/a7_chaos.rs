@@ -382,7 +382,7 @@ fn adaptation_incident(rps: f64, len: RunLength) {
 }
 
 fn main() {
-    if let Some(code) = meshlayer_bench::handle_flight_with("a7_chaos", chaos_flight_spec) {
+    if let Some(code) = meshlayer_bench::handle_flight_with("a7_chaos", &[], chaos_flight_spec) {
         std::process::exit(code);
     }
     let len = RunLength::from_env();

@@ -34,10 +34,13 @@ fn parse_num<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
     }))
 }
 
+/// The value-taking flags only this binary takes.
+const OWN_FLAGS: [&str; 3] = ["--pods", "--rps", "--rss-ceiling-mib"];
+
 fn main() {
     // Record/replay: fixed ~200-pod scenario, a pure function of the
     // run length so the recording and replaying processes line up.
-    if let Some(code) = handle_flight_with("topo_smoke", |len| {
+    if let Some(code) = handle_flight_with("topo_smoke", &OWN_FLAGS, |len| {
         let mut p = TopoParams::sized(200, 500.0);
         p.seed = len.seed;
         let mut spec = p.spec();
@@ -76,7 +79,7 @@ fn main() {
         "topo_smoke: pods={} rps={rps:.0} events={} ns/packet-hop={:.0} roots_ok={} peak_rss_mib={:.1}",
         p.pod_count(),
         m.events,
-        m.wall_ns as f64 / (meshlayer_bench::pkt_hops(&m) as f64).max(1.0),
+        m.wall_ns as f64 / (m.pkt_hops() as f64).max(1.0),
         m.world.roots_ok,
         rss as f64 / (1024.0 * 1024.0),
     );

@@ -279,6 +279,13 @@ impl RunMetrics {
         self.links.iter().find(|l| l.name == name)
     }
 
+    /// Simulated packet-hops: packets transmitted, summed over links. The
+    /// model decides this number and the engine cannot change it, so it
+    /// is the unit of work that engine cost figures are taken per.
+    pub fn pkt_hops(&self) -> u64 {
+        self.links.iter().map(|l| l.tx_packets).sum()
+    }
+
     /// A compact human-readable report.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -290,7 +297,7 @@ impl RunMetrics {
             self.world.roots_ok,
             self.world.roots_failed
         ));
-        let hops: u64 = self.links.iter().map(|l| l.tx_packets).sum();
+        let hops = self.pkt_hops();
         out.push_str(&format!(
             "  queue: {} pushed, {} popped; loop {:.2}s wall, {} packet-hops ({:.2} events and {:.0} ns each)\n",
             self.events_pushed,

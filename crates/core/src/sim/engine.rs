@@ -7,6 +7,14 @@ use meshlayer_simcore::{SimDuration, SimTime};
 use meshlayer_transport::{ConnOutput, TimerPop};
 use std::time::Instant;
 
+/// SDN controller observation period (only active with
+/// [`crate::XLayerConfig::sdn_lb`]).
+pub(super) const SDN_TICK: SimDuration = SimDuration::from_millis(50);
+
+/// Control-plane housekeeping period: telemetry reports + certificate
+/// rotation.
+const CONTROL_TICK: SimDuration = SimDuration::from_secs(1);
+
 /// Per-kind event accounting of one engine loop.
 ///
 /// Counts are exact and always on. Wall time is read only when profiling
@@ -85,11 +93,11 @@ impl Simulation {
         }
         if self.live.sdn_lb {
             self.sdn_armed = true;
-            let t = SimTime::ZERO + self.spec.config.sdn_tick;
+            let t = SimTime::ZERO + SDN_TICK;
             self.push_ev(t, Ev::SdnTick);
         }
         {
-            let t = SimTime::ZERO + self.spec.config.control_tick;
+            let t = SimTime::ZERO + CONTROL_TICK;
             self.push_ev(t, Ev::ControlTick);
         }
         {
@@ -364,7 +372,7 @@ impl Simulation {
     fn on_sdn_tick(&mut self, now: SimTime) {
         self.settle_links_before(now);
         self.sdn.observe(&self.fabric, now);
-        let next = now + self.spec.config.sdn_tick;
+        let next = now + SDN_TICK;
         if next < self.end_at {
             self.push_ev(next, Ev::SdnTick);
         }
@@ -383,7 +391,7 @@ impl Simulation {
         }
         self.control
             .rotate_expiring(now, meshlayer_simcore::SimDuration::from_secs(3600));
-        let next = now + self.spec.config.control_tick;
+        let next = now + CONTROL_TICK;
         if next < self.end_at {
             self.push_ev(next, Ev::ControlTick);
         }

@@ -58,27 +58,12 @@ pub struct SimConfig {
     pub cooldown: SimDuration,
     /// One crossing of the app↔sidecar localhost boundary.
     pub app_sidecar_delay: SimDuration,
-    /// Message multiplexing on sidecar connections.
-    pub mux: MuxPolicy,
     /// Congestion control for non-scavenger connections.
     pub default_cc: CcAlgo,
     /// Number of cluster nodes (hosts). The paper uses one 32-core server.
     pub nodes: usize,
     /// Pod capacity per node.
     pub pods_per_node: u32,
-    /// Transport connections per (pod pair, priority class) — Envoy-style
-    /// upstream connection pooling. Messages rotate across the pool.
-    pub conns_per_pair: usize,
-    /// SDN controller observation period (only active with
-    /// [`crate::XLayerConfig::sdn_lb`]).
-    pub sdn_tick: SimDuration,
-    /// Control-plane housekeeping period: telemetry reports + certificate
-    /// rotation.
-    pub control_tick: SimDuration,
-    /// Base propagation delay for a policy push: each layer applies this
-    /// long after the push (sidecars add deterministic per-pod jitter on
-    /// top, xDS-style staggered convergence).
-    pub policy_push_delay: SimDuration,
     /// Endpoint subsetting in discovery: a client whose upstream replica
     /// pool is larger than this sees only a deterministic per-client
     /// subset of this size (0 disables subsetting). Shrinks per-client
@@ -97,16 +82,9 @@ impl Default for SimConfig {
             warmup: SimDuration::from_secs(5),
             cooldown: SimDuration::from_secs(2),
             app_sidecar_delay: SimDuration::from_micros(30),
-            // Envoy-style HTTP/2 multiplexing on upstream connections:
-            // concurrent messages interleave rather than queue FIFO.
-            mux: MuxPolicy::RoundRobin,
             default_cc: CcAlgo::Cubic,
             nodes: 1,
             pods_per_node: 64,
-            conns_per_pair: 4,
-            sdn_tick: SimDuration::from_millis(50),
-            control_tick: SimDuration::from_secs(1),
-            policy_push_delay: SimDuration::from_millis(10),
             subset_size: 0,
             telemetry: TelemetryConfig::default(),
         }
@@ -822,6 +800,15 @@ impl Simulation {
         id
     }
 
+    /// Transport connections per (pod pair, priority class) — Envoy-style
+    /// upstream connection pooling. Messages rotate across the pool.
+    const CONNS_PER_PAIR: usize = 4;
+
+    /// Message multiplexing on sidecar connections — Envoy-style HTTP/2
+    /// on upstream connections: concurrent messages interleave rather
+    /// than queue FIFO.
+    const MUX: MuxPolicy = MuxPolicy::RoundRobin;
+
     /// Resolve (or create) the connection pair between two pods for a
     /// transport class, returning `(conn id, direction for x)`.
     pub(crate) fn conn_for(&mut self, x: PodId, y: PodId, priority: Priority) -> (u64, u8) {
@@ -830,8 +817,7 @@ impl Simulation {
             .transport_class(priority, self.spec.config.default_cc);
         let (a, b) = if x.0 <= y.0 { (x, y) } else { (y, x) };
         // Rotate across the connection pool for this pair+class.
-        let pool = self.spec.config.conns_per_pair.max(1);
-        let (slot, existing) = self.pair_pools.rotate(a, b, class, pool);
+        let (slot, existing) = self.pair_pools.rotate(a, b, class, Self::CONNS_PER_PAIR);
         let id = if existing != 0 {
             existing
         } else {
@@ -840,7 +826,7 @@ impl Simulation {
             let mk_cfg = |src: PodId, dst: PodId, cluster: &Cluster| ConnConfig {
                 dscp,
                 cc,
-                mux: self.spec.config.mux,
+                mux: Self::MUX,
                 src_ip: cluster.pod(src).ip,
                 dst_ip: cluster.pod(dst).ip,
                 ..ConnConfig::default()

@@ -15,6 +15,11 @@ use crate::provenance::Priority;
 use meshlayer_cluster::PodId;
 use meshlayer_simcore::{SimDuration, SimTime};
 
+/// Base propagation delay for a policy push: each layer applies this
+/// long after the push (sidecars add deterministic per-pod jitter on
+/// top, xDS-style staggered convergence).
+const POLICY_PUSH_DELAY: SimDuration = SimDuration::from_millis(10);
+
 /// `pod` operand of a fleet-wide (non-sidecar) apply event.
 pub(crate) const FLEET_POD: u32 = u32::MAX;
 
@@ -43,12 +48,11 @@ impl Simulation {
         self.policy
             .begin_push(version, pods.len() + PolicyLayer::GLOBAL.len());
 
-        let base = self.spec.config.policy_push_delay;
-        let jitter_span = (base.as_nanos() / 2).max(1);
+        let jitter_span = (POLICY_PUSH_DELAY.as_nanos() / 2).max(1);
         for pod in pods {
             let jitter = SimDuration::from_nanos(self.rng.u64() % jitter_span);
             self.push_ev(
-                now + base + jitter,
+                now + POLICY_PUSH_DELAY + jitter,
                 Ev::PolicyApply {
                     version,
                     layer: PolicyLayer::Mesh.code(),
@@ -58,7 +62,7 @@ impl Simulation {
         }
         for layer in PolicyLayer::GLOBAL {
             self.push_ev(
-                now + base,
+                now + POLICY_PUSH_DELAY,
                 Ev::PolicyApply {
                     version,
                     layer: layer.code(),
@@ -102,7 +106,7 @@ impl Simulation {
                     self.live.sdn_lb = snap.xlayer.sdn_lb;
                     if self.live.sdn_lb && !self.sdn_armed {
                         self.sdn_armed = true;
-                        let t = now + self.spec.config.sdn_tick;
+                        let t = now + super::engine::SDN_TICK;
                         if t < self.end_at {
                             self.push_ev(t, Ev::SdnTick);
                         }

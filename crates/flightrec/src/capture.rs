@@ -22,34 +22,12 @@ use std::io::{self, BufWriter};
 use std::path::Path;
 use std::sync::Arc;
 
-/// Which packets the taps should keep.
-#[derive(Clone, Debug, Default)]
-pub struct CaptureFilter {
-    /// Record pure acks? Default `false`: acks roughly double log volume
-    /// and the data-segment records already pin down queue behaviour.
-    pub include_acks: bool,
-    /// Restrict capture to these link ids (`None` = every tapped link).
-    pub links: Option<Vec<u32>>,
-}
-
-impl CaptureFilter {
-    fn admits(&self, link: u32, kind: PacketKind) -> bool {
-        if !self.include_acks && kind == PacketKind::Ack {
-            return false;
-        }
-        match &self.links {
-            Some(ids) => ids.contains(&link),
-            None => true,
-        }
-    }
-}
-
 /// Counters of what a capture wrote, returned by [`FlightRecorder::finish`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CaptureCounts {
     /// Engine event records written.
     pub events: u64,
-    /// Packet records written (post-filter).
+    /// Packet records written (pure acks are not recorded).
     pub packets: u64,
     /// Decision records written.
     pub decisions: u64,
@@ -65,7 +43,6 @@ pub struct CaptureCounts {
 
 struct Inner {
     writer: Option<LogWriter<BufWriter<File>>>,
-    filter: CaptureFilter,
     error: Option<io::Error>,
     counts: CaptureCounts,
 }
@@ -98,16 +75,10 @@ impl FlightRecorder {
         Ok(Arc::new(FlightRecorder {
             inner: Mutex::new(Inner {
                 writer: Some(LogWriter::create(path)?),
-                filter: CaptureFilter::default(),
                 error: None,
                 counts: CaptureCounts::default(),
             }),
         }))
-    }
-
-    /// Replace the packet filter (call before the run starts).
-    pub fn set_filter(&self, filter: CaptureFilter) {
-        self.inner.lock().filter = filter;
     }
 
     /// Write the run-identity frame. Must be the first record written.
@@ -314,10 +285,12 @@ impl FlightRecorder {
 
 impl PacketTap for FlightRecorder {
     fn on_packet(&self, ev: TapEvent<'_>) {
-        let mut g = self.inner.lock();
-        if !g.filter.admits(ev.link.0, ev.pkt.kind) {
+        // Pure acks are not recorded: they roughly double log volume and
+        // the data-segment records already pin down queue behaviour.
+        if ev.pkt.kind == PacketKind::Ack {
             return;
         }
+        let mut g = self.inner.lock();
         let rec = PacketRecord {
             t_ns: ev.now.as_nanos(),
             link: ev.link.0,

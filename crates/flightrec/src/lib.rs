@@ -41,7 +41,7 @@ pub mod log;
 pub mod record;
 pub mod replay;
 
-pub use capture::{CaptureCounts, CaptureFilter, FlightRecorder};
+pub use capture::{CaptureCounts, FlightRecorder};
 pub use explore::FlightLog;
 pub use log::{FrameError, LogReader, LogWriter};
 pub use record::{

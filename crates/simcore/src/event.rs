@@ -22,11 +22,6 @@ use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Name of the active event-queue implementation, recorded in
-/// `BENCH_engine.json` so perf numbers are attributable to the engine
-/// that produced them.
-pub const EVENT_QUEUE_IMPL: &str = "calendar-queue";
-
 /// log2 of the wheel slot count.
 const SLOT_BITS: usize = 12;
 /// Number of wheel slots.

@@ -38,7 +38,7 @@ pub mod stats;
 pub mod time;
 
 pub use dist::Dist;
-pub use event::{EventQueue, EVENT_QUEUE_IMPL};
+pub use event::EventQueue;
 pub use fxmap::{FxHashMap, FxHashSet};
 pub use hist::Histogram;
 pub use rng::SimRng;

@@ -295,7 +295,7 @@ fn model_fingerprint(m: &meshlayer::core::RunMetrics) -> String {
     out
 }
 
-fn elib_fingerprint(xlayer: XLayerConfig) -> String {
+fn pinned_elib_run(xlayer: XLayerConfig) -> meshlayer::core::RunMetrics {
     let mut spec = elibrary(&ElibraryParams {
         ls_rps: 40.0,
         batch_rps: 40.0,
@@ -306,7 +306,7 @@ fn elib_fingerprint(xlayer: XLayerConfig) -> String {
     spec.config.duration = SimDuration::from_secs(3);
     spec.config.warmup = SimDuration::from_secs(1);
     spec.config.cooldown = SimDuration::from_secs(1);
-    model_fingerprint(&Simulation::build(spec).run())
+    Simulation::build(spec).run()
 }
 
 /// The engine may change how many events a run costs (ISSUE 13 cut a
@@ -314,16 +314,22 @@ fn elib_fingerprint(xlayer: XLayerConfig) -> String {
 /// captured at commit 84d1cea — one `LinkTx` and one `PktArrive` per hop,
 /// one `ConnTimer` per timer restart — and must hold for every engine
 /// that follows. A deliberate model change re-pins them and says why.
+///
+/// What each run costs is pinned beside them, apart from the model: the
+/// exact `(events, packet-hops)` of the same three worlds, captured at
+/// commit 239c94d (one event per uncontended hop, one live timer per
+/// connection endpoint). Packet-hops are the model's; events are the
+/// engine's diet. A deliberate diet change re-pins `DIET_*` alone and
+/// says why.
 #[test]
 fn model_fingerprints_match_the_pre_diet_engine() {
-    assert_eq!(
-        elib_fingerprint(XLayerConfig::baseline()),
-        PIN_ELIB_BASELINE
-    );
-    assert_eq!(
-        elib_fingerprint(XLayerConfig::paper_prototype()),
-        PIN_ELIB_PROTOTYPE
-    );
+    let diet = |m: &meshlayer::core::RunMetrics| (m.events, m.pkt_hops());
+    let base = pinned_elib_run(XLayerConfig::baseline());
+    assert_eq!(model_fingerprint(&base), PIN_ELIB_BASELINE);
+    assert_eq!(diet(&base), DIET_ELIB_BASELINE);
+    let proto = pinned_elib_run(XLayerConfig::paper_prototype());
+    assert_eq!(model_fingerprint(&proto), PIN_ELIB_PROTOTYPE);
+    assert_eq!(diet(&proto), DIET_ELIB_PROTOTYPE);
     // A generated 52-pod zonal fabric, 1 sim-s of the all-packet mix.
     let mut p = meshlayer::core::TopoParams::sized(50, 2000.0);
     p.mix = meshlayer::core::TopoMix::BackgroundPacket;
@@ -331,9 +337,15 @@ fn model_fingerprints_match_the_pre_diet_engine() {
     spec.config.duration = SimDuration::from_millis(1_000);
     spec.config.warmup = SimDuration::from_millis(250);
     spec.config.cooldown = SimDuration::from_millis(250);
-    let fabric = model_fingerprint(&Simulation::build(spec).run());
-    assert_eq!(fabric, PIN_FABRIC_50);
+    let fabric = Simulation::build(spec).run();
+    assert_eq!(model_fingerprint(&fabric), PIN_FABRIC_50);
+    assert_eq!(diet(&fabric), DIET_FABRIC_50);
 }
+
+/// `(events, packet-hops)` of the three pinned worlds.
+const DIET_ELIB_BASELINE: (u64, u64) = (2_496_524, 1_811_728);
+const DIET_ELIB_PROTOTYPE: (u64, u64) = (2_044_879, 1_529_740);
+const DIET_FABRIC_50: (u64, u64) = (510_078, 326_668);
 
 const PIN_ELIB_BASELINE: &str = "\
 batch-analytics: completed=42 failed=0 p50=42.074112ms p99=267.911168ms
