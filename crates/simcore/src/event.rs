@@ -9,7 +9,7 @@
 //! # Structure
 //!
 //! Near-future events land in a wheel of [`SLOTS`] buckets, each
-//! [`BUCKET_NS`] nanoseconds wide (horizon ≈ 67 ms of simulated time) —
+//! [`BUCKET_NS`] nanoseconds wide (horizon ≈ 8.4 ms of simulated time) —
 //! push is O(1). Events beyond the horizon go to a small overflow binary
 //! heap and migrate into the wheel as the cursor advances past their
 //! bucket. Popping drains one bucket at a time through a `due` buffer
@@ -23,7 +23,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// log2 of the wheel slot count.
-const SLOT_BITS: usize = 12;
+const SLOT_BITS: usize = 9;
 /// Number of wheel slots.
 const SLOTS: usize = 1 << SLOT_BITS;
 /// log2 of a bucket's width in nanoseconds (2^14 ns ≈ 16.4 µs).
