@@ -45,7 +45,7 @@ pub mod xlayer;
 
 pub use incident::{build_incident_report, IncidentEvent, IncidentReport};
 pub use meshlayer_chaos::{FaultCode, FaultEvent, FaultKind, FaultScript};
-pub use metrics::{EvProfile, LinkReport, PodReport, RunMetrics, TransportReport};
+pub use metrics::{EngineVitals, EvProfile, LinkReport, PodReport, RunMetrics, TransportReport};
 pub use netplan::{Fabric, FabricKind, NetworkPlan};
 pub use policy::{
     AdaptationConfig, AdaptationController, ApplyPolicy, FabricPrioSurface, HostTcSurface,

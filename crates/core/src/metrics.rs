@@ -100,6 +100,20 @@ pub struct EvProfile {
     pub wall_ns: u64,
 }
 
+/// The simulator's own vitals for one run: how full its event queue and
+/// packet store got. Deterministic (a function of spec and seed) but about
+/// the engine, not the model — outside the flight digest, like the event
+/// profile, and free to change between commits.
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+pub struct EngineVitals {
+    /// Most events the queue's far-future heap held at once.
+    pub far_heap_peak: usize,
+    /// Events still pending when the run ended at `end_at`.
+    pub pending_at_end: usize,
+    /// Most packets in flight at once (slots of the packet slab).
+    pub pkt_slab_peak: usize,
+}
+
 /// Everything measured in one run.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct RunMetrics {
@@ -124,6 +138,8 @@ pub struct RunMetrics {
     pub events_pushed: u64,
     /// Events ever popped off the queue.
     pub events_popped: u64,
+    /// Queue and store occupancy of the simulator itself.
+    pub engine: EngineVitals,
     /// Wall-clock nanoseconds the event loop ran. Host-dependent —
     /// excluded from determinism checks and the flight-recorder digest.
     pub wall_ns: u64,
@@ -258,6 +274,13 @@ impl RunMetrics {
             events,
             events_pushed: sim.queue.total_pushed(),
             events_popped: sim.queue.total_popped(),
+            engine: EngineVitals {
+                far_heap_peak: sim.queue.far_peak(),
+                // The loop popped, and dropped, the first event past
+                // `end_at`; it was pending when the run ended.
+                pending_at_end: sim.queue.len() + (sim.queue.total_popped() - events) as usize,
+                pkt_slab_peak: sim.pkts.high_water(),
+            },
             wall_ns: sim.wall_ns,
             sim_seconds: now.as_secs_f64(),
             spans: sim.tracer.spans().len(),
@@ -306,6 +329,10 @@ impl RunMetrics {
             hops,
             self.events as f64 / hops.max(1) as f64,
             self.wall_ns as f64 / hops.max(1) as f64,
+        ));
+        out.push_str(&format!(
+            "  engine: far heap peak {} events, {} pending at end, packet slab peak {}\n",
+            self.engine.far_heap_peak, self.engine.pending_at_end, self.engine.pkt_slab_peak,
         ));
         for c in &self.classes {
             out.push_str(&format!(

@@ -140,6 +140,11 @@ impl Simulation {
         let loop_wall = Instant::now();
         while let Some((t, ev)) = self.queue.pop() {
             if t > self.end_at {
+                // The loop drops the first event past the end; a packet
+                // it carried leaves the slab with it.
+                if let Ev::PktArrive { pkt, .. } = ev {
+                    self.pkts.take(pkt);
+                }
                 break;
             }
             let code = ev.code() as usize;
@@ -168,6 +173,19 @@ impl Simulation {
         crate::metrics::RunMetrics::collect(self, processed)
     }
 
+    /// Packet conservation, the first check of a run audit: `(packets
+    /// live in the slab, `PktArrive` events pending)`. The two are equal
+    /// whenever no handler is running — every packet between a link's far
+    /// end and its next node is owned by exactly one pending event.
+    pub fn packets_in_flight(&self) -> (usize, usize) {
+        let arrivals = self
+            .queue
+            .iter()
+            .filter(|ev| matches!(ev, Ev::PktArrive { .. }))
+            .count();
+        (self.pkts.live(), arrivals)
+    }
+
     /// Credit released transmissions that ended before `t`, so link
     /// counters read at `t` are what a completion event per packet would
     /// have left (see `meshlayer_netsim::Link::settle_before`).
@@ -182,7 +200,10 @@ impl Simulation {
             Ev::Arrival { gen } => self.on_arrival(gen, now),
             Ev::LinkTx { link } => self.on_link_tx(link, now),
             Ev::LinkKick { link } => self.on_link_kick(link, now),
-            Ev::PktArrive { pkt, node } => self.on_pkt_arrive(pkt, node, now),
+            Ev::PktArrive { pkt, node } => {
+                let pkt = self.pkts.take(pkt);
+                self.on_pkt_arrive(pkt, node, now)
+            }
             Ev::ConnTimer { conn, dir } => self.on_conn_timer(conn, dir, now),
             Ev::SendMsg {
                 conn,
@@ -411,6 +432,7 @@ impl Simulation {
                 match link.release() {
                     Some(pkt) => {
                         let (at, node) = (done_at + link.delay(), link.to());
+                        let pkt = self.pkts.put(pkt);
                         self.push_ev(at, Ev::PktArrive { pkt, node });
                     }
                     None => self.push_ev(done_at, Ev::LinkTx { link: link_id }),
@@ -442,6 +464,7 @@ impl Simulation {
         let delay = link.delay();
         let to = link.to();
         let (pkt, next) = link.on_tx_done(now);
+        let pkt = self.pkts.put(pkt);
         self.push_ev(now + delay, Ev::PktArrive { pkt, node: to });
         self.apply_link_outcome(link_id, next);
     }

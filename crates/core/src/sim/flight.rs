@@ -16,12 +16,14 @@
 //! the total `(SimTime, push-seq)` order — so a change to the engine
 //! that reordered even one event would surface as a divergence.
 
+use super::store::Slab;
 use super::{Ev, Simulation};
 use meshlayer_flightrec::digest::{fold_bytes, fold_u64, FNV_OFFSET};
 use meshlayer_flightrec::{
     CaptureCounts, EventRecord, FlightRecorder, MetaInfo, ReplayChecker, ReplayReport,
     FORMAT_VERSION,
 };
+use meshlayer_netsim::Packet;
 use meshlayer_simcore::SimTime;
 use std::io;
 use std::path::Path;
@@ -64,7 +66,10 @@ impl Ev {
 /// the variant, so a divergence in *any* of them — a different packet
 /// taking a different path, a retry firing for a different rpc —
 /// changes this and every later digest.
-fn fold_event(state: u64, seq: u64, t: SimTime, ev: &Ev) -> u64 {
+///
+/// A `PktArrive` folds the packet's fields, read through the slab, not
+/// its slab index: the index is storage, and captures do not depend on it.
+fn fold_event(state: u64, seq: u64, t: SimTime, ev: &Ev, pkts: &Slab<Packet>) -> u64 {
     let mut d = fold_u64(state, seq);
     d = fold_u64(d, t.as_nanos());
     d = fold_bytes(d, &[ev.code()]);
@@ -72,6 +77,7 @@ fn fold_event(state: u64, seq: u64, t: SimTime, ev: &Ev) -> u64 {
         Ev::Arrival { gen } => fold_u64(d, *gen as u64),
         Ev::LinkTx { link } | Ev::LinkKick { link } => fold_u64(d, link.0 as u64),
         Ev::PktArrive { pkt, node } => {
+            let pkt = pkts.get(*pkt);
             d = fold_u64(d, pkt.id);
             d = fold_u64(d, pkt.conn);
             d = fold_u64(d, pkt.seq);
@@ -255,7 +261,7 @@ impl Simulation {
         };
         let seq = fl.seq;
         fl.seq += 1;
-        fl.digest = fold_event(fl.digest, seq, t, ev);
+        fl.digest = fold_event(fl.digest, seq, t, ev, &self.pkts);
         let rec = EventRecord {
             seq,
             t_ns: t.as_nanos(),

@@ -156,7 +156,10 @@ pub(crate) enum Ev {
     /// its released wire is free and a backlog formed meanwhile.
     LinkKick { link: LinkId },
     /// A packet arrives at a node after serialization and propagation.
-    PktArrive { pkt: Packet, node: NodeId },
+    /// `pkt` indexes the in-flight packet slab ([`store::Slab`]): an event
+    /// carries an index so that timers and ticks do not pay for a
+    /// packet's 88 bytes.
+    PktArrive { pkt: u32, node: NodeId },
     /// The live timer event of endpoint `(conn, dir)` — at most one per
     /// endpoint, see [`meshlayer_transport::TimerSlot`].
     ConnTimer { conn: u64, dir: u8 },
@@ -209,6 +212,10 @@ pub(crate) enum Ev {
     /// chaos-driven link change) folded into the flight digest.
     FluidUpdate { cause: u8 },
 }
+
+// Every queue entry is `(SimTime, seq, Ev)`: a variant that grows `Ev`
+// grows every pending event. Put large payloads in a store, carry an id.
+const _: () = assert!(std::mem::size_of::<Ev>() <= 32);
 
 impl Ev {
     /// Number of variants ([`Ev::code`] is `0..COUNT`).
@@ -459,6 +466,8 @@ pub struct Simulation {
     pub(crate) pair_pools: store::PairPools,
     pub(crate) conns: store::ConnTable<ConnPair>,
     pub(crate) msg_store: store::IdSlab<MsgInFlight>,
+    /// Packets between a link's far end and their `PktArrive` event.
+    pub(crate) pkts: store::Slab<Packet>,
     pub(crate) rpcs: store::IdSlab<Rpc>,
     pub(crate) execs: store::IdSlab<Exec>,
     pub(crate) compute_jobs: store::IdSlab<ComputeJob>,
@@ -644,6 +653,7 @@ impl Simulation {
             pair_pools: store::PairPools::default(),
             conns: store::ConnTable::default(),
             msg_store: store::IdSlab::default(),
+            pkts: store::Slab::default(),
             rpcs: store::IdSlab::default(),
             execs: store::IdSlab::default(),
             compute_jobs: store::IdSlab::default(),

@@ -12,6 +12,9 @@
 //! * [`IdSlab`] — a sliding-window slab over monotonic ids: O(1)
 //!   indexed access at `id - head`, memory proportional to the *live id
 //!   span*, with the window front compacted as old ids are removed.
+//! * [`Slab`] — a free-list slab for entries that leave in no particular
+//!   order (packets in flight): the index is storage, reused after a
+//!   `take`, and never part of an entry's identity.
 //! * [`ConnTable`] — connections are never removed, so a plain `Vec`
 //!   indexed by `id - 1` suffices.
 //! * [`Sidecars`] — exactly one sidecar per pod, keyed by `PodId`,
@@ -122,6 +125,71 @@ impl<T> IdSlab<T> {
     /// quantity memory use is proportional to.
     #[allow(dead_code)]
     pub(crate) fn window_len(&self) -> usize {
+        self.slots.len()
+    }
+}
+
+/// A free-list slab: `put` returns a `u32` index that stays valid until
+/// `take`, and freed indices are reused last-freed-first, so memory
+/// tracks the most entries ever live at once — whatever order they leave
+/// in, which is what [`IdSlab`]'s sliding window cannot give packets
+/// (a packet queued behind a backlog outlives thousands sent after it).
+pub(crate) struct Slab<T> {
+    slots: Vec<Option<T>>,
+    free: Vec<u32>,
+}
+
+impl<T> Default for Slab<T> {
+    fn default() -> Self {
+        Slab {
+            slots: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+}
+
+impl<T> Slab<T> {
+    /// Store `value`, returning its index.
+    #[inline]
+    pub(crate) fn put(&mut self, value: T) -> u32 {
+        match self.free.pop() {
+            Some(i) => {
+                self.slots[i as usize] = Some(value);
+                i
+            }
+            None => {
+                self.slots.push(Some(value));
+                u32::try_from(self.slots.len() - 1).expect("slab: more than u32::MAX live entries")
+            }
+        }
+    }
+
+    /// Shared access to the live entry at `i`.
+    #[inline]
+    pub(crate) fn get(&self, i: u32) -> &T {
+        self.slots[i as usize]
+            .as_ref()
+            .expect("slab: get of a free slot")
+    }
+
+    /// Remove and return the live entry at `i`, freeing the index.
+    #[inline]
+    pub(crate) fn take(&mut self, i: u32) -> T {
+        let v = self.slots[i as usize]
+            .take()
+            .expect("slab: take of a free slot");
+        self.free.push(i);
+        v
+    }
+
+    /// Number of live entries.
+    pub(crate) fn live(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+
+    /// Most entries ever live at once: a slot is added only when none is
+    /// free.
+    pub(crate) fn high_water(&self) -> usize {
         self.slots.len()
     }
 }
@@ -301,7 +369,34 @@ impl ScrapeSidecars {
 
 #[cfg(test)]
 mod tests {
-    use super::IdSlab;
+    use super::{IdSlab, Slab};
+
+    #[test]
+    fn free_list_slab_reuses_indices_after_take() {
+        let mut s: Slab<&'static str> = Slab::default();
+        let (a, b, c) = (s.put("a"), s.put("b"), s.put("c"));
+        assert_eq!((a, b, c), (0, 1, 2));
+        assert_eq!(s.take(b), "b");
+        assert_eq!(s.take(a), "a");
+        assert_eq!((s.live(), s.high_water()), (1, 3));
+        // Last freed, first reused; no new slot while one is free.
+        assert_eq!(s.put("d"), a);
+        assert_eq!(s.put("e"), b);
+        assert_eq!(s.get(a), &"d");
+        assert_eq!(s.get(c), &"c");
+        assert_eq!((s.live(), s.high_water()), (3, 3));
+        assert_eq!(s.put("f"), 3);
+        assert_eq!((s.live(), s.high_water()), (4, 4));
+    }
+
+    #[test]
+    #[should_panic(expected = "slab: take of a free slot")]
+    fn free_list_slab_take_of_a_free_slot_panics() {
+        let mut s: Slab<u32> = Slab::default();
+        let i = s.put(7);
+        s.take(i);
+        s.take(i);
+    }
 
     #[test]
     fn slab_roundtrip_and_window_slides() {

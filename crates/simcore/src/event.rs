@@ -96,6 +96,8 @@ pub struct EventQueue<E> {
     cursor: u64,
     /// Pending events across `due` + wheel + overflow.
     pending: usize,
+    /// Most events `overflow` has held at once.
+    far_peak: usize,
     seq: u64,
     now: SimTime,
     pushed: u64,
@@ -118,6 +120,7 @@ impl<E> EventQueue<E> {
             overflow: BinaryHeap::new(),
             cursor: 0,
             pending: 0,
+            far_peak: 0,
             seq: 0,
             now: SimTime::ZERO,
             pushed: 0,
@@ -155,6 +158,7 @@ impl<E> EventQueue<E> {
             self.occupancy[s >> 6] |= 1 << (s & 63);
         } else {
             self.overflow.push(Entry { at, seq, payload });
+            self.far_peak = self.far_peak.max(self.overflow.len());
         }
     }
 
@@ -266,6 +270,19 @@ impl<E> EventQueue<E> {
         self.pending == 0
     }
 
+    /// Payloads of the pending events, in no particular order — for
+    /// audits that count what is still in flight.
+    pub fn iter(&self) -> impl Iterator<Item = &E> {
+        let near = std::iter::once(&self.due).chain(&self.slots).flatten();
+        near.map(|e| &e.2)
+            .chain(self.overflow.iter().map(|e| &e.payload))
+    }
+
+    /// Most events the far-future heap has held at once.
+    pub fn far_peak(&self) -> usize {
+        self.far_peak
+    }
+
     /// Total events pushed over the queue's lifetime (for run statistics).
     pub fn total_pushed(&self) -> u64 {
         self.pushed
@@ -292,6 +309,29 @@ impl<E> EventQueue<E> {
 mod tests {
     use super::*;
     use crate::time::SimDuration;
+
+    /// A 32-byte payload makes a 48-byte entry, in the wheel and in the
+    /// far heap: the `(at, seq)` key costs 16 bytes and nothing else does.
+    #[test]
+    fn entry_is_key_plus_payload() {
+        type Payload = [u64; 4];
+        assert_eq!(std::mem::size_of::<(SimTime, u64, Payload)>(), 48);
+        assert_eq!(std::mem::size_of::<Entry<Payload>>(), 48);
+    }
+
+    #[test]
+    fn iter_sees_due_wheel_and_overflow() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_secs(50), 1); // overflow
+        q.push(SimTime::from_millis(2), 2); // wheel
+        q.push(SimTime::ZERO, 3); // due
+        let mut seen: Vec<i32> = q.iter().copied().collect();
+        seen.sort_unstable();
+        assert_eq!(seen, vec![1, 2, 3]);
+        assert_eq!(q.far_peak(), 1);
+        q.pop();
+        assert_eq!(q.iter().count(), q.len());
+    }
 
     #[test]
     fn pops_in_time_order() {

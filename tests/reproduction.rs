@@ -306,7 +306,21 @@ fn pinned_elib_run(xlayer: XLayerConfig) -> meshlayer::core::RunMetrics {
     spec.config.duration = SimDuration::from_secs(3);
     spec.config.warmup = SimDuration::from_secs(1);
     spec.config.cooldown = SimDuration::from_secs(1);
-    Simulation::build(spec).run()
+    run_conserving_packets(spec)
+}
+
+/// Run `spec` and hold the engine to packet conservation at the end:
+/// every packet still in the in-flight store is owned by a pending
+/// `PktArrive` and the other way round — the event the loop pops past
+/// `end_at` and drops must not leak its packet (on the fabric world it is
+/// a `PktArrive`: without the take there, 4 stored meet 3 arriving).
+fn run_conserving_packets(spec: meshlayer::core::SimSpec) -> meshlayer::core::RunMetrics {
+    let mut sim = Simulation::build(spec);
+    let m = sim.run();
+    let (stored, arriving) = sim.packets_in_flight();
+    assert_eq!(stored, arriving, "packets stored vs PktArrive pending");
+    assert!(m.engine.pkt_slab_peak >= stored);
+    m
 }
 
 /// The engine may change how many events a run costs (ISSUE 13 cut a
@@ -337,7 +351,7 @@ fn model_fingerprints_match_the_pre_diet_engine() {
     spec.config.duration = SimDuration::from_millis(1_000);
     spec.config.warmup = SimDuration::from_millis(250);
     spec.config.cooldown = SimDuration::from_millis(250);
-    let fabric = Simulation::build(spec).run();
+    let fabric = run_conserving_packets(spec);
     assert_eq!(model_fingerprint(&fabric), PIN_FABRIC_50);
     assert_eq!(diet(&fabric), DIET_FABRIC_50);
 }
