@@ -110,6 +110,10 @@ pub struct EngineVitals {
     pub far_heap_peak: usize,
     /// Events still pending when the run ended at `end_at`.
     pub pending_at_end: usize,
+    /// Times the far-future heap was compacted.
+    pub compactions: u64,
+    /// Dead RPC deadline events those compactions dropped unpopped.
+    pub compacted_events: u64,
     /// Most packets in flight at once (slots of the packet slab).
     pub pkt_slab_peak: usize,
 }
@@ -279,6 +283,8 @@ impl RunMetrics {
                 // The loop popped, and dropped, the first event past
                 // `end_at`; it was pending when the run ended.
                 pending_at_end: sim.queue.len() + (sim.queue.total_popped() - events) as usize,
+                compactions: sim.far.runs,
+                compacted_events: sim.far.dropped,
                 pkt_slab_peak: sim.pkts.high_water(),
             },
             wall_ns: sim.wall_ns,
@@ -331,8 +337,12 @@ impl RunMetrics {
             self.wall_ns as f64 / hops.max(1) as f64,
         ));
         out.push_str(&format!(
-            "  engine: far heap peak {} events, {} pending at end, packet slab peak {}\n",
-            self.engine.far_heap_peak, self.engine.pending_at_end, self.engine.pkt_slab_peak,
+            "  engine: far heap peak {} events, {} pending at end, {} compactions dropped {} dead deadlines, packet slab peak {}\n",
+            self.engine.far_heap_peak,
+            self.engine.pending_at_end,
+            self.engine.compactions,
+            self.engine.compacted_events,
+            self.engine.pkt_slab_peak,
         ));
         for c in &self.classes {
             out.push_str(&format!(

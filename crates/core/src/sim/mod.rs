@@ -463,6 +463,9 @@ pub struct Simulation {
     pub(crate) sidecars: store::Sidecars,
     pub(crate) ingress_pod: PodId,
     pub(crate) queue: EventQueue<Ev>,
+    /// When dead RPC deadlines are next compacted out of the queue's far
+    /// heap, and what compaction has done so far.
+    pub(crate) far: rpc::FarCompaction,
     pub(crate) pair_pools: store::PairPools,
     pub(crate) conns: store::ConnTable<ConnPair>,
     pub(crate) msg_store: store::IdSlab<MsgInFlight>,
@@ -650,6 +653,7 @@ impl Simulation {
             sidecars,
             ingress_pod,
             queue: EventQueue::new(),
+            far: rpc::FarCompaction::default(),
             pair_pools: store::PairPools::default(),
             conns: store::ConnTable::default(),
             msg_store: store::IdSlab::default(),

@@ -8,6 +8,32 @@ use meshlayer_mesh::{AttemptFailure, RouteOutcome};
 use meshlayer_prof::{Breakdown, Layer, RequestProv};
 use meshlayer_simcore::SimTime;
 
+/// The far heap is not compacted below this many events: scanning a
+/// heap this small would cost more than it frees.
+const FAR_COMPACT_FLOOR: usize = 4096;
+
+/// Compaction of the queue's far heap (see
+/// `Simulation::compact_far_deadlines`).
+pub(crate) struct FarCompaction {
+    /// Far-heap size that triggers the next compaction: twice what the
+    /// previous one left, at least [`FAR_COMPACT_FLOOR`].
+    pub next_at: usize,
+    /// Compactions run.
+    pub runs: u64,
+    /// Events they dropped.
+    pub dropped: u64,
+}
+
+impl Default for FarCompaction {
+    fn default() -> Self {
+        FarCompaction {
+            next_at: FAR_COMPACT_FLOOR,
+            runs: 0,
+            dropped: 0,
+        }
+    }
+}
+
 impl Simulation {
     // -----------------------------------------------------------------
     // Arrivals (root requests)
@@ -228,6 +254,35 @@ impl Simulation {
                 attempt: idx,
             },
         );
+        if self.queue.far_len() >= self.far.next_at {
+            self.compact_far_deadlines();
+        }
+    }
+
+    /// Drop the dead RPC deadlines from the queue's far heap. Deadlines
+    /// are seconds long and RPCs milliseconds, so nearly every deadline
+    /// outlives its RPC; left alone they pile up by the hundred thousand
+    /// until a run is long enough to pop them, one no-op at a time.
+    ///
+    /// An event may be dropped only when its handler is provably a no-op
+    /// now and for ever: an `RpcTimeout` whose rpc has left `rpcs` (ids
+    /// are never reused), a `PerTryTimeout` or `HedgeFire` whose rpc has,
+    /// or whose attempt is `done` (never reset). Every other event stays,
+    /// and survivors keep their `(at, seq)`. Runs when the far heap has
+    /// doubled since the last compaction, so the scan is amortised O(1)
+    /// per deadline pushed.
+    fn compact_far_deadlines(&mut self) {
+        let rpcs = &self.rpcs;
+        let dropped = self.queue.retain_far(|ev| match ev {
+            Ev::RpcTimeout { rpc } => rpcs.contains(*rpc),
+            Ev::PerTryTimeout { rpc, attempt } | Ev::HedgeFire { rpc, attempt } => rpcs
+                .get(*rpc)
+                .is_some_and(|r| r.attempts.get(*attempt as usize).is_none_or(|a| !a.done)),
+            _ => true,
+        });
+        self.far.runs += 1;
+        self.far.dropped += dropped as u64;
+        self.far.next_at = (2 * self.queue.far_len()).max(FAR_COMPACT_FLOOR);
     }
 
     // -----------------------------------------------------------------
@@ -567,5 +622,73 @@ impl Simulation {
                 self.complete_token(exec, token, now, bd);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{RunMetrics, Simulation, TopoMix, TopoParams};
+    use meshlayer_simcore::SimDuration;
+
+    /// The three kinds compaction may drop.
+    const DEADLINES: [&str; 3] = ["HedgeFire", "PerTryTimeout", "RpcTimeout"];
+
+    /// A 52-pod fabric with deadlines short enough (and hedging on) that
+    /// thousands of all three kinds come due inside the run, nearly all of
+    /// them dead by then and some not: a few dozen hedges fire.
+    fn run(compact: bool) -> RunMetrics {
+        let mut p = TopoParams::sized(50, 2000.0);
+        p.mix = TopoMix::BackgroundPacket;
+        let mut spec = p.spec();
+        spec.config.duration = SimDuration::from_millis(1_500);
+        spec.config.warmup = SimDuration::from_millis(250);
+        spec.config.cooldown = SimDuration::from_millis(250);
+        let policy = &mut spec.mesh.default_policy;
+        policy.timeout = SimDuration::from_millis(400);
+        policy.per_try_timeout = SimDuration::from_millis(200);
+        policy.hedge_after = Some(SimDuration::from_millis(12));
+        let mut sim = Simulation::build(spec);
+        if !compact {
+            sim.far.next_at = usize::MAX;
+        }
+        sim.run()
+    }
+
+    /// What a run reports once the engine's own accounting is set aside:
+    /// event totals, the self-metrics, host time, and the counts of the
+    /// three deadline kinds.
+    fn model_json(mut m: RunMetrics) -> String {
+        m.events = 0;
+        m.events_popped = 0;
+        m.wall_ns = 0;
+        m.engine = Default::default();
+        m.event_profile
+            .retain(|p| !DEADLINES.contains(&p.event.as_str()));
+        serde_json::to_string(&m).expect("metrics serialize")
+    }
+
+    /// Leg 3's contract: compaction drops only events whose handler would
+    /// have done nothing, so a run with it and a run without it differ in
+    /// how many events they popped and in nothing else.
+    #[test]
+    fn compaction_changes_event_counts_and_nothing_else() {
+        let (on, off) = (run(true), run(false));
+        assert_eq!(off.engine.compactions, 0);
+        assert!(on.engine.compactions >= 4, "{:?}", on.engine);
+        assert_eq!(on.events_pushed, off.events_pushed);
+        // Every dropped entry would have popped as a no-op before the run
+        // ended, or would still be pending at its end.
+        let popped_less = off.events - on.events;
+        let pending_less = (off.engine.pending_at_end - on.engine.pending_at_end) as u64;
+        assert!(popped_less > 1_000, "deadlines came due: {popped_less}");
+        assert_eq!(on.engine.compacted_events, popped_less + pending_less);
+        let deadlines = |m: &RunMetrics| -> u64 {
+            let of = |p: &&crate::EvProfile| DEADLINES.contains(&p.event.as_str());
+            m.event_profile.iter().filter(of).map(|p| p.count).sum()
+        };
+        assert_eq!(deadlines(&off) - deadlines(&on), popped_less);
+        // The live ones still fired.
+        assert!(on.world.hedges > 0 && on.world.hedges == off.world.hedges);
+        assert_eq!(model_json(on), model_json(off));
     }
 }

@@ -34,7 +34,12 @@ pub const MAGIC: &[u8; 8] = b"FLTREC01";
 ///   live `ConnTimer`, and the `ConnTimer` digest fold dropped its
 ///   generation field. A v1 capture replayed under v2 would "diverge"
 ///   at the first such event, so it is refused by version instead.
-pub const FORMAT_VERSION: u32 = 2;
+/// * v3 — one difference from v2: the engine compacts RPC deadline
+///   events (`RpcTimeout`, `PerTryTimeout`, `HedgeFire`) whose handler
+///   had become a permanent no-op out of its far-future heap, so they no
+///   longer appear in the event stream of a run long enough to reach
+///   them. Every other event, and every packet and decision, is as in v2.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Frame tag for [`Record::Meta`].
 pub const TAG_META: u8 = 1;

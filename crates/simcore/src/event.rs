@@ -278,6 +278,25 @@ impl<E> EventQueue<E> {
             .chain(self.overflow.iter().map(|e| &e.payload))
     }
 
+    /// Events now in the far-future heap (beyond the wheel horizon).
+    pub fn far_len(&self) -> usize {
+        self.overflow.len()
+    }
+
+    /// Drop from the far-future heap every event `keep` rejects, and
+    /// return how many went. Only the heap is visited: events already in
+    /// the wheel fire as usual. Survivors keep their `(at, seq)`, so pop
+    /// order and same-instant ties among them are exactly what they were;
+    /// a dropped event is gone as if never pushed, apart from
+    /// [`EventQueue::total_pushed`].
+    pub fn retain_far(&mut self, mut keep: impl FnMut(&E) -> bool) -> usize {
+        let before = self.overflow.len();
+        self.overflow.retain(|e| keep(&e.payload));
+        let dropped = before - self.overflow.len();
+        self.pending -= dropped;
+        dropped
+    }
+
     /// Most events the far-future heap has held at once.
     pub fn far_peak(&self) -> usize {
         self.far_peak
@@ -460,8 +479,10 @@ mod tests {
     }
 
     /// Cross-validation: a pseudorandom push/pop workload spanning bucket
-    /// boundaries, wheel wraps, and the overflow horizon must pop in
-    /// exactly the order a total `(at, seq)` sort would produce.
+    /// boundaries, wheel wraps, and the overflow horizon — with the far
+    /// heap compacted under a pseudorandom predicate now and then — must
+    /// pop in exactly the order a total `(at, seq)` sort of the survivors
+    /// would produce.
     #[test]
     fn matches_total_order_reference() {
         let mut q = EventQueue::new();
@@ -476,8 +497,18 @@ mod tests {
             rng ^= rng << 17;
             rng % m
         };
+        let pop_min = |model: &mut Vec<(u64, u64, u32)>| {
+            let min = model
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, e)| (e.0, e.1))
+                .map(|(i, _)| i)
+                .unwrap();
+            model.swap_remove(min).2
+        };
         let mut popped = Vec::new();
         let mut expected = Vec::new();
+        let mut dropped = 0;
         #[allow(clippy::explicit_counter_loop)] // seq mirrors the queue's push counter
         for round in 0..5000u32 {
             // Mix of near (same bucket), mid (within wheel), far (overflow).
@@ -495,29 +526,39 @@ mod tests {
                 if let Some((t, id)) = q.pop() {
                     now = t.as_nanos();
                     popped.push(id);
-                    let min = model
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, e)| (e.0, e.1))
-                        .map(|(i, _)| i)
-                        .unwrap();
-                    expected.push(model.swap_remove(min).2);
+                    expected.push(pop_min(&mut model));
                 }
+            }
+            // Every so often push a burst of far events and drop about a
+            // third of the far heap. The model's far set is whatever lies
+            // at or past the horizon of the bucket being drained, which
+            // is `now`'s: the queue's cursor only moves on a pop.
+            if round % 100 == 99 {
+                let horizon = ((now >> BUCKET_BITS) + SLOTS as u64) << BUCKET_BITS;
+                for i in 0..30 {
+                    let at = horizon + step(1 << 30);
+                    q.push(SimTime::from_nanos(at), 10_000 + round + i);
+                    model.push((at, seq, 10_000 + round + i));
+                    seq += 1;
+                }
+                let salt = step(3) as u32;
+                let keep = |id: u32| !(id + salt).is_multiple_of(3);
+                let before = model.len();
+                model.retain(|e| e.0 < horizon || keep(e.2));
+                let gone = q.retain_far(|&id| keep(id));
+                assert_eq!(gone, before - model.len());
+                assert_eq!(q.len(), model.len());
+                dropped += gone;
             }
         }
         while let Some((_, id)) = q.pop() {
             popped.push(id);
-            let min = model
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| (e.0, e.1))
-                .map(|(i, _)| i)
-                .unwrap();
-            expected.push(model.swap_remove(min).2);
+            expected.push(pop_min(&mut model));
         }
         assert!(model.is_empty());
+        assert!(dropped > 300, "compaction had something to drop: {dropped}");
         assert_eq!(popped, expected);
-        assert_eq!(q.total_pushed(), q.total_popped());
+        assert_eq!(q.total_pushed(), q.total_popped() + dropped as u64);
     }
 
     #[test]

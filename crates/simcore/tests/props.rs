@@ -33,6 +33,67 @@ proptest! {
         prop_assert_eq!(popped, (0..n).collect::<Vec<_>>());
     }
 
+    /// Compacting the far heap under an arbitrary predicate, between
+    /// arbitrary pushes and pops, leaves a queue that pops its survivors
+    /// in exactly the order a total `(at, seq)` sort of them gives, with
+    /// `len()` in agreement — against a plain vector as the reference.
+    #[test]
+    fn event_queue_retain_far_matches_reference(
+        ops in prop::collection::vec((0u8..8, 0u64..20_000_000_000), 1..300),
+        salt in 0u64..3,
+    ) {
+        let mut q = EventQueue::new();
+        // (at_ns, id); ids are handed out in push order, like `seq`.
+        let mut model: Vec<(u64, u64)> = Vec::new();
+        let (mut now, mut next_id) = (0u64, 0u64);
+        let keep = |id: u64| !(id + salt).is_multiple_of(3);
+        for &(op, x) in &ops {
+            match op {
+                // Push: same bucket, inside the wheel, or seconds ahead.
+                0..=4 => {
+                    let delta = match op {
+                        0 | 1 => x % 50_000,
+                        2 => x % 5_000_000,
+                        _ => x,
+                    };
+                    q.push(SimTime::from_nanos(now + delta), next_id);
+                    model.push((now + delta, next_id));
+                    next_id += 1;
+                }
+                5 | 6 => {
+                    let want = model.iter().copied().min();
+                    model.retain(|e| Some(*e) != want);
+                    let got = q.pop().map(|(t, id)| (t.as_nanos(), id));
+                    prop_assert_eq!(got, want);
+                    now = got.map_or(now, |(t, _)| t);
+                }
+                _ => {
+                    let mut gone = Vec::new();
+                    let n = q.retain_far(|&id| {
+                        if !keep(id) {
+                            gone.push(id);
+                        }
+                        keep(id)
+                    });
+                    prop_assert_eq!(n, gone.len());
+                    // Only far events go, and all of the rejected ones
+                    // that are far by any measure (the wheel spans ms).
+                    let far = |at: u64| at >= now + 1_000_000_000;
+                    for &(at, id) in &model {
+                        prop_assert!(!gone.contains(&id) || at > now);
+                        prop_assert!(gone.contains(&id) || keep(id) || !far(at));
+                    }
+                    model.retain(|e| !gone.contains(&e.1));
+                }
+            }
+            prop_assert_eq!(q.len(), model.len());
+        }
+        model.sort_unstable();
+        let rest: Vec<(u64, u64)> =
+            std::iter::from_fn(|| q.pop().map(|(t, id)| (t.as_nanos(), id))).collect();
+        prop_assert_eq!(rest, model);
+    }
+
     /// Histogram quantiles are within the documented 1% relative error and
     /// never exceed the observed extremes.
     #[test]
