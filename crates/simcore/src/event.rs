@@ -9,14 +9,29 @@
 //! # Structure
 //!
 //! Near-future events land in a wheel of [`SLOTS`] buckets, each
-//! [`BUCKET_NS`] nanoseconds wide (horizon ≈ 8.4 ms of simulated time) —
-//! push is O(1). Events beyond the horizon go to a small overflow binary
+//! [`BUCKET_NS`] nanoseconds wide (512 × 16.4 µs: a horizon ≈ 8.4 ms of
+//! simulated time, which covers every link delay and serialization time
+//! the fabrics produce) — push is O(1). Events beyond the horizon —
+//! retransmission timers, RPC deadlines, ticks — go to an overflow binary
 //! heap and migrate into the wheel as the cursor advances past their
 //! bucket. Popping drains one bucket at a time through a `due` buffer
 //! sorted by `(at, seq)`, so the global pop order is *identical* to a
 //! total sort — the determinism contract the flight recorder
 //! (`FLTREC01` captures) and every seeded test depend on. See DESIGN.md
 //! §"Calendar queue".
+//!
+//! An entry is its 16-byte `(at, seq)` key plus the payload: 48 bytes
+//! for the simulation's 32-byte event. The wheel is small on purpose: a
+//! slot's buffer keeps the capacity of its fullest visit, so memory is
+//! slots × burst, and a slot revisited every 8.4 ms stays warm in cache.
+//!
+//! # Compaction
+//!
+//! [`EventQueue::retain_far`] filters the overflow heap — and only it —
+//! under a caller's predicate. It guarantees that every survivor keeps its
+//! `(at, seq)`, so survivors pop in the order, ties included, they would
+//! have popped in anyway, and that [`EventQueue::len`] counts them alone.
+//! Whether a dropped event was safe to drop is the caller's business.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -247,19 +262,6 @@ impl<E> EventQueue<E> {
         None
     }
 
-    /// Fire time of the next event without popping it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        if let Some(e) = self.due.last() {
-            return Some(e.0);
-        }
-        let cs = (self.cursor as usize) & (SLOTS - 1);
-        if let Some(d) = self.next_occupied_distance(cs) {
-            let s = ((self.cursor + d as u64) as usize) & (SLOTS - 1);
-            return self.slots[s].iter().map(|e| e.0).min();
-        }
-        self.overflow.peek().map(|e| e.at)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.pending
@@ -311,23 +313,11 @@ impl<E> EventQueue<E> {
     pub fn total_popped(&self) -> u64 {
         self.popped
     }
-
-    /// Drop every pending event, keeping the clock where it is.
-    pub fn clear(&mut self) {
-        self.due.clear();
-        for s in &mut self.slots {
-            s.clear();
-        }
-        self.occupancy = [0; WORDS];
-        self.overflow.clear();
-        self.pending = 0;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
 
     /// A 32-byte payload makes a 48-byte entry, in the wheel and in the
     /// far heap: the `(at, seq)` key costs 16 bytes and nothing else does.
@@ -412,17 +402,11 @@ mod tests {
         assert_eq!(q.total_pushed(), 2);
         assert_eq!(q.total_popped(), 1);
         assert_eq!(q.len(), 1);
-        q.clear();
+        assert!(!q.is_empty());
+        // Popping the rest leaves the queue clear.
+        q.pop();
         assert!(q.is_empty());
-        assert_eq!(q.now(), SimTime::from_secs(1));
-    }
-
-    #[test]
-    fn peek_does_not_advance() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_secs(1) + SimDuration::from_millis(1), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_millis(1001)));
-        assert_eq!(q.now(), SimTime::ZERO);
+        assert_eq!(q.now(), SimTime::from_secs(2));
     }
 
     #[test]
@@ -559,23 +543,5 @@ mod tests {
         assert!(dropped > 300, "compaction had something to drop: {dropped}");
         assert_eq!(popped, expected);
         assert_eq!(q.total_pushed(), q.total_popped() + dropped as u64);
-    }
-
-    #[test]
-    fn peek_time_sees_wheel_and_overflow() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.peek_time(), None);
-        // Only overflow populated.
-        q.push(SimTime::from_secs(50), 1);
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(50)));
-        // Wheel beats overflow.
-        q.push(SimTime::from_millis(2), 2);
-        assert_eq!(q.peek_time(), Some(SimTime::from_millis(2)));
-        // Due (current bucket) beats wheel.
-        q.push(SimTime::ZERO, 3);
-        assert_eq!(q.peek_time(), Some(SimTime::ZERO));
-        assert_eq!(q.pop().unwrap().1, 3);
-        assert_eq!(q.pop().unwrap().1, 2);
-        assert_eq!(q.pop().unwrap().1, 1);
     }
 }

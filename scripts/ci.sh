@@ -127,12 +127,14 @@ if [[ "${MESHLAYER_CI_SKIP_TESTS:-0}" != "1" ]]; then
   # A generated ~200-pod zonal spine-leaf fabric, MESHLAYER_SECS-capped,
   # in a DEBUG build on purpose: the arena/SoA pod state and the
   # hierarchical O(nodes+links) routing must keep even an unoptimized
-  # binary inside a committed memory ceiling (DESIGN.md §13). Then the
+  # binary inside a committed memory ceiling (DESIGN.md §13). The run
+  # measures about 100 MiB; before the queue was slimmed (ISSUE 21) it
+  # measured 122, so 160 is low enough to see that come back. Then the
   # same fabric is held to the flight-recorder bar: record, replay,
   # zero divergence.
   MESHLAYER_OUT="$flight_out" MESHLAYER_SECS=2 MESHLAYER_WARMUP=1 \
     cargo run --offline -q -p meshlayer-bench --bin topo_smoke -- \
-    --pods 200 --rps 2000 --rss-ceiling-mib 512
+    --pods 200 --rps 2000 --rss-ceiling-mib 160
   MESHLAYER_OUT="$flight_out" MESHLAYER_SECS=2 MESHLAYER_WARMUP=1 \
     cargo run --offline --release -q -p meshlayer-bench --bin topo_smoke -- --record
   topo_replay="$(MESHLAYER_OUT="$flight_out" MESHLAYER_SECS=2 MESHLAYER_WARMUP=1 \
