@@ -10,8 +10,7 @@
 //!
 //! Near-future events land in a wheel of [`SLOTS`] buckets, each
 //! [`BUCKET_NS`] nanoseconds wide (512 × 16.4 µs: a horizon ≈ 8.4 ms of
-//! simulated time, which covers every link delay and serialization time
-//! the fabrics produce) — push is O(1). Events beyond the horizon —
+//! simulated time) — push is O(1). Events beyond the horizon —
 //! retransmission timers, RPC deadlines, ticks — go to an overflow binary
 //! heap and migrate into the wheel as the cursor advances past their
 //! bucket. Popping drains one bucket at a time through a `due` buffer
@@ -23,7 +22,7 @@
 //! An entry is its 16-byte `(at, seq)` key plus the payload: 48 bytes
 //! for the simulation's 32-byte event. The wheel is small on purpose: a
 //! slot's buffer keeps the capacity of its fullest visit, so memory is
-//! slots × burst, and a slot revisited every 8.4 ms stays warm in cache.
+//! slots × burst.
 //!
 //! # Compaction
 //!
