@@ -4,7 +4,7 @@ use super::{Ev, MsgInFlight, Simulation};
 use meshlayer_cluster::PodId;
 use meshlayer_netsim::{LinkId, LinkOutcome, NodeId, Packet};
 use meshlayer_simcore::{SimDuration, SimTime};
-use meshlayer_transport::{ConnOutput, TimerPop};
+use meshlayer_transport::TimerPop;
 use std::time::Instant;
 
 /// SDN controller observation period (only active with
@@ -490,14 +490,14 @@ impl Simulation {
             return;
         };
         let conn_id = pkt.conn;
-        let Some(pair) = self.conns.get_mut(conn_id) else {
+        let Some((pair, out)) = self.conns.get_mut_with_out(conn_id) else {
             self.stats.pkt_drops += 1;
             return;
         };
         let dir = if pair.a_pod == pod { 0u8 } else { 1u8 };
         let endpoint = if dir == 0 { &mut pair.a } else { &mut pair.b };
-        let out = endpoint.on_packet(&pkt, now);
-        self.process_conn_output(conn_id, dir, out, now);
+        endpoint.on_packet_into(&pkt, now, out);
+        self.process_conn_output(conn_id, dir, now);
     }
 
     // -----------------------------------------------------------------
@@ -505,7 +505,7 @@ impl Simulation {
     // -----------------------------------------------------------------
 
     fn on_conn_timer(&mut self, conn: u64, dir: u8, now: SimTime) {
-        let Some(pair) = self.conns.get_mut(conn) else {
+        let Some((pair, out)) = self.conns.get_mut_with_out(conn) else {
             return;
         };
         let endpoint = if dir == 0 { &mut pair.a } else { &mut pair.b };
@@ -513,30 +513,26 @@ impl Simulation {
             TimerPop::Idle => {}
             TimerPop::Push(at) => self.push_ev(at, Ev::ConnTimer { conn, dir }),
             TimerPop::Fire(gen) => {
-                let out = endpoint.on_timer(gen, now);
-                self.process_conn_output(conn, dir, out, now);
+                endpoint.on_timer_into(gen, now, out);
+                self.process_conn_output(conn, dir, now);
             }
         }
     }
 
     fn on_send_msg(&mut self, conn: u64, dir: u8, msg: u64, bytes: u64, now: SimTime) {
-        let Some(pair) = self.conns.get_mut(conn) else {
+        let Some((pair, out)) = self.conns.get_mut_with_out(conn) else {
             return;
         };
         let endpoint = if dir == 0 { &mut pair.a } else { &mut pair.b };
-        let out = endpoint.send_message(msg, bytes.max(1), now);
-        self.process_conn_output(conn, dir, out, now);
+        endpoint.send_message_into(msg, bytes.max(1), now, out);
+        self.process_conn_output(conn, dir, now);
     }
 
-    /// Inject an endpoint's packets into the fabric, schedule its timer,
-    /// and dispatch any delivered messages.
-    pub(crate) fn process_conn_output(
-        &mut self,
-        conn: u64,
-        dir: u8,
-        out: ConnOutput,
-        now: SimTime,
-    ) {
+    /// Drain the output endpoint `(conn, dir)` just wrote into the
+    /// connection table's buffer: inject its packets into the fabric,
+    /// schedule its timer, and dispatch any delivered messages.
+    fn process_conn_output(&mut self, conn: u64, dir: u8, now: SimTime) {
+        let mut out = self.conns.take_out();
         // Packets leave from the endpoint's node.
         let src_node = {
             let pair = self.conns.get(conn).expect("conn exists");
@@ -546,16 +542,17 @@ impl Simulation {
                 self.fabric.node_of(pair.b_pod)
             }
         };
-        for pkt in out.packets {
+        for pkt in out.packets.drain(..) {
             self.route_packet(pkt, src_node, now);
         }
         let pair = self.conns.get_mut(conn).expect("conn exists");
         if let Some(at) = pair.timers[dir as usize].arm(out.timer) {
             self.push_ev(at, Ev::ConnTimer { conn, dir });
         }
-        for d in out.delivered {
+        for d in out.delivered.drain(..) {
             self.on_msg_delivered(conn, dir, d.msg, now);
         }
+        self.conns.restore_out(out);
     }
 
     /// A whole message finished arriving at endpoint `(conn, dir)`.
