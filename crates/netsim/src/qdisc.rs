@@ -489,6 +489,9 @@ struct HtbRt {
 /// ("yellow"), by priority then index.
 pub struct HtbLite {
     classes: Vec<HtbRt>,
+    /// Class indices by `(prio, index)`, fixed at construction: a class's
+    /// priority never changes, so dequeue walks this and skips the empty.
+    order: Vec<usize>,
     drops: u64,
 }
 
@@ -496,6 +499,8 @@ impl HtbLite {
     /// Build from class configs; packets are classified by `ClassId` index.
     pub fn new(classes: Vec<HtbClass>) -> Self {
         assert!(!classes.is_empty(), "htb needs at least one class");
+        let mut order: Vec<usize> = (0..classes.len()).collect();
+        order.sort_by_key(|&i| (classes[i].prio, i));
         HtbLite {
             classes: classes
                 .into_iter()
@@ -507,6 +512,7 @@ impl HtbLite {
                     cfg,
                 })
                 .collect(),
+            order,
             drops: 0,
         }
     }
@@ -514,15 +520,6 @@ impl HtbLite {
     /// Queue depth of one class.
     pub fn class_len(&self, class: usize) -> usize {
         self.classes.get(class).map_or(0, |c| c.queue.len())
-    }
-
-    /// Indices of nonempty classes sorted by priority (then index).
-    fn by_prio(&self) -> Vec<usize> {
-        let mut idx: Vec<usize> = (0..self.classes.len())
-            .filter(|&i| !self.classes[i].queue.is_empty())
-            .collect();
-        idx.sort_by_key(|&i| (self.classes[i].cfg.prio, i));
-        idx
     }
 }
 
@@ -540,15 +537,16 @@ impl Qdisc for HtbLite {
     }
 
     fn dequeue(&mut self, now: SimTime) -> Deq {
-        let order = self.by_prio();
-        if order.is_empty() {
-            return Deq::Empty;
-        }
         // Pass 1: green — within guaranteed rate (and ceiling, which by
         // construction is >= rate).
-        for &i in &order {
+        let mut backlogged = false;
+        for &i in &self.order {
             let c = &mut self.classes[i];
-            let sz = c.queue.front().expect("nonempty").wire_size() as u64;
+            let Some(head) = c.queue.front() else {
+                continue;
+            };
+            backlogged = true;
+            let sz = head.wire_size() as u64;
             if c.rate_bucket.ready(sz, now) && c.ceil_bucket.ready(sz, now) {
                 c.rate_bucket.consume(sz, now);
                 c.ceil_bucket.consume(sz, now);
@@ -556,10 +554,16 @@ impl Qdisc for HtbLite {
                 return Deq::Packet(c.queue.pop_front().expect("nonempty"));
             }
         }
+        if !backlogged {
+            return Deq::Empty;
+        }
         // Pass 2: yellow — borrow, limited by the ceiling only.
-        for &i in &order {
+        for &i in &self.order {
             let c = &mut self.classes[i];
-            let sz = c.queue.front().expect("nonempty").wire_size() as u64;
+            let Some(head) = c.queue.front() else {
+                continue;
+            };
+            let sz = head.wire_size() as u64;
             if c.ceil_bucket.ready(sz, now) {
                 c.ceil_bucket.consume(sz, now);
                 // Rate bucket also drains (may go negative) so green status
@@ -571,9 +575,12 @@ impl Qdisc for HtbLite {
         }
         // Backlogged but ceiling-limited everywhere: report earliest release.
         let mut earliest = SimTime::MAX;
-        for &i in &order {
+        for &i in &self.order {
             let c = &mut self.classes[i];
-            let sz = c.queue.front().expect("nonempty").wire_size() as u64;
+            let Some(head) = c.queue.front() else {
+                continue;
+            };
+            let sz = head.wire_size() as u64;
             earliest = earliest.min(c.ceil_bucket.ready_at(sz, now));
         }
         // Sub-nanosecond token deficits round `ready_at` down to `now`;
@@ -767,6 +774,45 @@ mod tests {
         q.enqueue(pkt(0, 100), ClassId(0), now).unwrap();
         assert!(matches!(q.dequeue(now), Deq::Packet(p) if p.id == 0));
         assert!(matches!(q.dequeue(now), Deq::Packet(p) if p.id == 1));
+    }
+
+    #[test]
+    fn htb_serves_classes_by_prio_then_index() {
+        // Declared out of priority order, with a tie at prio 1: service
+        // order is (prio, index) = class 2, then 1, then 3, then 0.
+        let mut q = HtbLite::new(vec![
+            HtbClass::new(1_000_000, 1_000_000, 3),
+            HtbClass::new(1_000_000, 1_000_000, 1),
+            HtbClass::new(1_000_000, 1_000_000, 0),
+            HtbClass::new(1_000_000, 1_000_000, 1),
+        ]);
+        let now = SimTime::ZERO;
+        for class in [0u16, 3, 1, 2] {
+            q.enqueue(pkt(class as u64, 100), ClassId(class), now)
+                .unwrap();
+        }
+        assert_eq!(drain(&mut q, now), vec![2, 1, 3, 0]);
+        assert!(matches!(q.dequeue(now), Deq::Empty));
+        // Ceiling-limited everywhere: the earliest release among the
+        // backlogged classes, skipping the empty ones.
+        let mut q = HtbLite::new(vec![
+            HtbClass {
+                burst_bytes: 200,
+                ..HtbClass::new(8_000, 8_000, 1)
+            },
+            HtbClass {
+                burst_bytes: 200,
+                ..HtbClass::new(16_000, 16_000, 0)
+            },
+        ]);
+        for id in 0..2 {
+            q.enqueue(pkt(id, 100), ClassId(0), now).unwrap();
+        }
+        assert!(matches!(q.dequeue(now), Deq::Packet(p) if p.id == 0));
+        match q.dequeue(now) {
+            Deq::NotReadyUntil(at) => assert!(at > now),
+            other => panic!("expected NotReadyUntil, got {other:?}"),
+        }
     }
 
     #[test]
