@@ -12,13 +12,102 @@ use proptest::prelude::*;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
+/// The calls [`lossy_exchange`] makes into an endpoint.
+trait Endpoint {
+    fn send_message(&mut self, id: u64, len: u64, now: SimTime) -> ConnOutput;
+    fn on_packet(&mut self, pkt: &Packet, now: SimTime) -> ConnOutput;
+    fn on_timer(&mut self, gen: u64, now: SimTime) -> ConnOutput;
+    fn timer_state(&self) -> Option<(SimTime, u64)>;
+}
+
+impl Endpoint for Conn {
+    fn send_message(&mut self, id: u64, len: u64, now: SimTime) -> ConnOutput {
+        Conn::send_message(self, id, len, now)
+    }
+    fn on_packet(&mut self, pkt: &Packet, now: SimTime) -> ConnOutput {
+        Conn::on_packet(self, pkt, now)
+    }
+    fn on_timer(&mut self, gen: u64, now: SimTime) -> ConnOutput {
+        Conn::on_timer(self, gen, now)
+    }
+    fn timer_state(&self) -> Option<(SimTime, u64)> {
+        Conn::timer_state(self)
+    }
+}
+
+/// Two copies of one endpoint fed the same calls: `by_value` through the
+/// by-value methods, `into` through the `*_into` ones, writing into one
+/// buffer that is reused (cleared, capacity kept) for every call. Each
+/// call asserts the two emitted field-identical packets, deliveries and
+/// timers.
+struct Twin {
+    by_value: Conn,
+    into: Conn,
+    buf: ConnOutput,
+}
+
+impl Twin {
+    fn new(conn: u64, dir: u8, cfg: &ConnConfig) -> Twin {
+        let node = meshlayer_netsim::NodeId;
+        let (local, remote) = (node(dir as u32), node(1 - dir as u32));
+        // Dirty from the start: capacity left over from earlier output.
+        let mut buf = ConnOutput::default();
+        buf.packets.push(Packet::data(0, local, remote, 0, 0, 1, 0));
+        buf.delivered.push(Delivered { msg: 0, len: 1 });
+        buf.clear();
+        Twin {
+            by_value: Conn::new(conn, dir, local, remote, cfg.clone()),
+            into: Conn::new(conn, dir, local, remote, cfg.clone()),
+            buf,
+        }
+    }
+
+    /// Compare `out` with what the `into` twin wrote, then reset the buffer.
+    fn check(&mut self, out: ConnOutput) -> ConnOutput {
+        assert_eq!(
+            format!("{:?}", out.packets),
+            format!("{:?}", self.buf.packets)
+        );
+        assert_eq!(out.delivered, self.buf.delivered);
+        assert_eq!(out.timer, self.buf.timer);
+        assert_eq!(
+            format!("{:?}", self.by_value.stats()),
+            format!("{:?}", self.into.stats())
+        );
+        self.buf.clear();
+        out
+    }
+}
+
+impl Endpoint for Twin {
+    fn send_message(&mut self, id: u64, len: u64, now: SimTime) -> ConnOutput {
+        self.into.send_message_into(id, len, now, &mut self.buf);
+        let out = self.by_value.send_message(id, len, now);
+        self.check(out)
+    }
+    fn on_packet(&mut self, pkt: &Packet, now: SimTime) -> ConnOutput {
+        self.into.on_packet_into(pkt, now, &mut self.buf);
+        let out = self.by_value.on_packet(pkt, now);
+        self.check(out)
+    }
+    fn on_timer(&mut self, gen: u64, now: SimTime) -> ConnOutput {
+        self.into.on_timer_into(gen, now, &mut self.buf);
+        let out = self.by_value.on_timer(gen, now);
+        self.check(out)
+    }
+    fn timer_state(&self) -> Option<(SimTime, u64)> {
+        assert_eq!(self.by_value.timer_state(), self.into.timer_state());
+        self.by_value.timer_state()
+    }
+}
+
 /// Run a lossy exchange: each a->b packet is dropped iff the next value of
 /// `drops` says so (acks and retransmissions always get through — losing
 /// them too only changes timing, and RTO handling is separately tested).
 /// Timers fire whenever the exchange goes quiet.
-fn lossy_exchange(
-    a: &mut Conn,
-    b: &mut Conn,
+fn lossy_exchange<E: Endpoint>(
+    a: &mut E,
+    b: &mut E,
     msgs: &[(u64, u64)],
     mut drop_pattern: VecDeque<bool>,
 ) -> Vec<Delivered> {
@@ -101,6 +190,27 @@ proptest! {
         want.sort_unstable();
         prop_assert_eq!(got, want);
         prop_assert_eq!(b.stats().msgs_delivered, msgs.len() as u64);
+    }
+
+    /// The `*_into` calls with one reused buffer emit exactly what the
+    /// by-value calls do, on both endpoints, under the same loss patterns
+    /// (and the reordering their retransmissions cause).
+    #[test]
+    fn into_calls_with_a_reused_buffer_match_by_value_calls(
+        lens in prop::collection::vec(1u64..60_000, 1..8),
+        drops in prop::collection::vec(any::<bool>(), 0..64),
+        algo_idx in 0usize..4,
+        rr in any::<bool>(),
+    ) {
+        let cfg = ConnConfig {
+            cc: [CcAlgo::Reno, CcAlgo::Cubic, CcAlgo::Ledbat, CcAlgo::TcpLp][algo_idx],
+            mux: if rr { MuxPolicy::RoundRobin } else { MuxPolicy::Fifo },
+            ..ConnConfig::default()
+        };
+        let (mut a, mut b) = (Twin::new(9, 0, &cfg), Twin::new(9, 1, &cfg));
+        let msgs: Vec<(u64, u64)> = lens.iter().enumerate().map(|(i, &l)| (i as u64 + 1, l)).collect();
+        let delivered = lossy_exchange(&mut a, &mut b, &msgs, drops.into());
+        prop_assert_eq!(delivered.len(), msgs.len(), "missing deliveries");
     }
 
     /// Reordering (reversing packet batches) never breaks reassembly.
