@@ -18,11 +18,16 @@
 //!
 //! The interesting number is the adaptive run's before/after split of
 //! latency-sensitive p99 around the convergence instant.
+//!
+//! `--record` / `--replay` capture a fourth, shorter adaptive world (see
+//! [`flight_spec`]) that walks every layer's install and reset path.
 
 use meshlayer_apps::{elibrary, ElibraryParams};
 use meshlayer_bench::{write_telemetry_artifacts, RunLength};
-use meshlayer_core::{AdaptationConfig, RunMetrics, SimSpec, Simulation, XLayerConfig};
-use meshlayer_simcore::SimDuration;
+use meshlayer_core::{
+    AdaptationConfig, FaultKind, FaultScript, RunMetrics, SimSpec, Simulation, XLayerConfig,
+};
+use meshlayer_simcore::{SimDuration, SimTime};
 use meshlayer_telemetry::{GaugeKind, SloTarget, TelemetryConfig};
 
 /// SLO: latency-sensitive requests should finish within this budget.
@@ -50,6 +55,30 @@ fn spec_at(rps: f64, adaptive: bool, len: RunLength) -> SimSpec {
         ));
     }
     len.apply(&mut spec);
+    spec
+}
+
+/// The recorded adaptive world. It starts at baseline (v1). A 1 ms target
+/// burns at the first scrape with samples, so the controller pushes every
+/// optimization as v2. At 60 % of the run a rollback re-pushes v1 as v3.
+/// Between them the two pushes install and reset every layer: subset
+/// routes, compute priority, the scavenger profile, host TC and fabric
+/// priority queues.
+fn flight_spec(len: RunLength) -> SimSpec {
+    let mut spec = spec_at(30.0, false, len);
+    spec.config.telemetry = TelemetryConfig::default().with_target(SloTarget::new(
+        "latency-sensitive",
+        SimDuration::from_millis(1),
+        SLO_BUDGET,
+    ));
+    spec.adaptation = Some(AdaptationConfig::new(
+        "latency-sensitive",
+        XLayerConfig::full(),
+    ));
+    spec.chaos = Some(FaultScript::new().with(
+        SimTime::from_millis(len.secs * 600),
+        FaultKind::Rollback { to_version: 1 },
+    ));
     spec
 }
 
@@ -82,7 +111,7 @@ fn row(name: &str, m: &RunMetrics) {
 }
 
 fn main() {
-    if let Some(code) = meshlayer_bench::handle_flight("a6_adaptation") {
+    if let Some(code) = meshlayer_bench::handle_flight_with("a6_adaptation", &[], flight_spec) {
         std::process::exit(code);
     }
     let len = RunLength::from_env();

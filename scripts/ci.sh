@@ -53,6 +53,22 @@ if [[ "${MESHLAYER_CI_SKIP_TESTS:-0}" != "1" ]]; then
     exit 1
   fi
 
+  echo "== policy plane: every layer's install and reset, record/replay =="
+  # The A6 capture starts at baseline, pushes every optimization when a
+  # 1 ms SLO burns, then rolls back to v1: the replay walks the install
+  # and the reset path of every layer (routes, compute, transport, host
+  # TC, fabric priority). The capture is ~230 MB at 3 s.
+  MESHLAYER_OUT="$flight_out" MESHLAYER_SECS=3 MESHLAYER_WARMUP=1 \
+    cargo run --offline --release -q -p meshlayer-bench --bin a6_adaptation -- --record
+  a6_replay="$(MESHLAYER_OUT="$flight_out" MESHLAYER_SECS=3 MESHLAYER_WARMUP=1 \
+    cargo run --offline --release -q -p meshlayer-bench --bin a6_adaptation -- --replay)"
+  echo "$a6_replay"
+  rm -f "$flight_out/a6_adaptation.flight"
+  if ! grep -q "0 divergences" <<<"$a6_replay"; then
+    echo "ci: replay of the adaptive capture diverged" >&2
+    exit 1
+  fi
+
   echo "== incident timeline: A6 causal-chain smoke (deterministic) =="
   # meshctl incident drives the same closed loop with a flight capture
   # attached and joins burn alerts, the controller decision, the policy
