@@ -9,8 +9,8 @@
 //! * propagation — implemented in the sidecar (`meshlayer-mesh`) via
 //!   `x-request-id` correlation (§4.2 component 2) and *used* here;
 //! * [`xlayer`] — the four cross-layer optimization sites (§4.2
-//!   component 3a–d) as independent toggles, with installers for routing
-//!   rules and TC configuration;
+//!   component 3a–d) as independent toggles, with one apply function per
+//!   layer (routes, compute queues, host TC, fabric priority queues);
 //! * [`netplan`] — the emulated link fabric (15 Gbps default, per-service
 //!   overrides for the 1 Gbps bottleneck);
 //! * [`sim`] — the deterministic event-driven world gluing cluster, mesh,
@@ -48,13 +48,13 @@ pub use meshlayer_chaos::{FaultCode, FaultEvent, FaultKind, FaultScript};
 pub use metrics::{EngineVitals, EvProfile, LinkReport, PodReport, RunMetrics, TransportReport};
 pub use netplan::{Fabric, FabricKind, NetworkPlan};
 pub use policy::{
-    AdaptationConfig, AdaptationController, ApplyPolicy, FabricPrioSurface, HostTcSurface,
-    PolicyCtx, PolicyLayer, PolicyPlane, PolicySnapshot, PolicyTransition,
+    AdaptationConfig, AdaptationController, PolicyLayer, PolicyPlane, PolicySnapshot,
+    PolicyTransition,
 };
 pub use provenance::{request_priority, Classifier, Priority};
 pub use sdn::SdnController;
 pub use sim::{FlightOutcome, SimConfig, SimSpec, Simulation, INGRESS_SERVICE};
 pub use topo_gen::{TopoMix, TopoParams};
 pub use xlayer::{
-    install_host_tc, install_net_prio, install_priority_routes, XLayerConfig, HIGH_PRIO_SHARE,
+    apply_compute, apply_host_tc, apply_net_prio, apply_routes, XLayerConfig, HIGH_PRIO_SHARE,
 };

@@ -19,11 +19,13 @@
 //!   ([`XLayerConfig::dscp_tagging`] + [`XLayerConfig::net_prio`]).
 
 use crate::netplan::Fabric;
+use crate::policy::PolicySnapshot;
 use crate::provenance::Priority;
-use meshlayer_cluster::Cluster;
+use meshlayer_cluster::{Cluster, PodId};
 use meshlayer_http::{HeaderMatch, RouteRule, RouteTable, RouteTarget, HDR_PRIORITY};
 use meshlayer_netsim::{
-    ClassId, DropTail, FilterMatch, HtbClass, HtbLite, DSCP_BATCH, DSCP_LATENCY,
+    ClassId, DropTail, FilterMatch, HtbClass, HtbLite, Link, LinkId, TcTable, DSCP_BATCH,
+    DSCP_LATENCY,
 };
 use meshlayer_simcore::SimTime;
 use meshlayer_transport::CcAlgo;
@@ -155,12 +157,16 @@ impl Default for XLayerConfig {
 /// host TC rules ("up to 95 % of bandwidth", §4.3).
 pub const HIGH_PRIO_SHARE: f64 = 0.95;
 
-/// Install the (a) mesh routing rules: for each service that declared
-/// `high`/`low` subsets, route requests whose priority header says `high`
-/// to the high subset and everything else to the low subset. Services
-/// without those subsets keep their passthrough rule.
-pub fn install_priority_routes(routes: &mut RouteTable, cluster: &Cluster) {
-    let mut prio_rules = Vec::new();
+/// (a) The route table for `snap`. With subset routing on, every service
+/// that declared `high`/`low` subsets gets two rules ahead of the `base`
+/// routes: requests whose priority header says `high` go to the high
+/// subset, everything else to the low subset. Services without those
+/// subsets keep their passthrough rule. With it off, the base routes.
+pub fn apply_routes(base: &RouteTable, cluster: &Cluster, snap: &PolicySnapshot) -> RouteTable {
+    if !snap.xlayer.mesh_subset_routing {
+        return base.clone();
+    }
+    let mut routes = RouteTable::new();
     for service in service_names(cluster) {
         let sid = cluster.find_service(&service).expect("listed service");
         let spec = cluster.spec(sid);
@@ -170,7 +176,7 @@ pub fn install_priority_routes(routes: &mut RouteTable, cluster: &Cluster) {
             continue;
         }
         // High-priority requests to the high subset...
-        prio_rules.push(RouteRule {
+        routes.push(RouteRule {
             authority: Some(service.clone()),
             path_prefix: None,
             headers: vec![HeaderMatch::Exact(
@@ -180,72 +186,54 @@ pub fn install_priority_routes(routes: &mut RouteTable, cluster: &Cluster) {
             targets: vec![RouteTarget::subset(service.clone(), "high")],
         });
         // ...everything else (low or unclassified) to the low subset.
-        prio_rules.push(RouteRule {
+        routes.push(RouteRule {
             authority: Some(service.clone()),
             path_prefix: None,
             headers: vec![],
             targets: vec![RouteTarget::subset(service, "low")],
         });
     }
-    // Priority rules take precedence over whatever was installed before.
-    let mut rebuilt = RouteTable::new();
-    for r in prio_rules {
-        rebuilt.push(r);
+    for r in base.iter() {
+        routes.push(r.clone());
     }
-    for r in routes.iter() {
-        rebuilt.push(r.clone());
-    }
-    *routes = rebuilt;
+    routes
 }
 
-/// Install the (c) host TC configuration on every pod uplink: an HTB with
-/// a high class guaranteed [`HIGH_PRIO_SHARE`] of the link (priority 0,
-/// ceiling = line rate) and a low class with the remainder, plus filters
-/// classifying packets *destined to high-priority pods* into the high
-/// class — the prototype's "packets matching the pod's IP address" rule.
-///
-/// `high_ips` are the pod IPs of every `high`-subset replica. Returns the
-/// number of links reconfigured.
-pub fn install_host_tc(
-    fabric: &mut Fabric,
-    cluster: &Cluster,
-    queue_pkts: usize,
-    now: SimTime,
-) -> usize {
-    install_host_tc_with_share(fabric, cluster, queue_pkts, HIGH_PRIO_SHARE, now)
+/// (a, extension) Set every pod's run-queue priority awareness to
+/// `snap`'s `compute_prio`, in place: queued jobs keep their band, only
+/// future admissions classify under the new setting. Returns the
+/// policy-apply detail.
+pub fn apply_compute(cluster: &mut Cluster, snap: &PolicySnapshot) -> String {
+    let on = snap.xlayer.compute_prio;
+    let n = cluster.pod_count();
+    for i in 0..n {
+        cluster
+            .pod_mut(PodId(i as u32))
+            .compute
+            .set_priority_aware(on);
+    }
+    format!("priority_aware={on} pods={n}")
 }
 
-/// [`install_host_tc`] with an explicit high-class bandwidth share — the
-/// policy plane pushes the share as part of a [`crate::PolicySnapshot`].
-pub fn install_host_tc_with_share(
+/// (c) Host TC on every pod uplink, the pod's virtual NIC egress. On, each
+/// uplink gets the priority HTB and filters classifying packets *to or
+/// from a high-priority pod* into the high class — the prototype's
+/// "packets matching the pod's IP address" rule. Off, each gets the
+/// baseline DropTail back. Returns the policy-apply detail.
+pub fn apply_host_tc(
     fabric: &mut Fabric,
     cluster: &Cluster,
-    queue_pkts: usize,
-    share: f64,
+    snap: &PolicySnapshot,
     now: SimTime,
-) -> usize {
-    let share = share.clamp(0.01, 0.99);
+) -> String {
+    let uplinks: Vec<LinkId> = cluster.pods().map(|p| fabric.uplink(p.id)).collect();
+    if !snap.xlayer.host_tc {
+        return reset_to_droptail(fabric, &uplinks, snap.queue_pkts, now);
+    }
     let high_ips = high_subset_ips(cluster);
-    let pods: Vec<_> = cluster.pods().map(|p| p.id).collect();
-    let mut installed = 0;
-    for pod in pods {
-        let link_id = fabric.uplink(pod);
-        let link = fabric.topology.link_mut(link_id);
-        let rate = link.rate_bps();
-        let high_rate = (rate as f64 * share) as u64;
-        let qdisc = HtbLite::new(vec![
-            HtbClass {
-                limit_pkts: queue_pkts,
-                ..HtbClass::new(high_rate, rate, 0)
-            },
-            HtbClass {
-                limit_pkts: queue_pkts,
-                ..HtbClass::new(rate - high_rate, rate, 1)
-            },
-        ]);
-        link.set_qdisc(Box::new(qdisc), now);
-        let tc = link.tc_mut();
-        tc.clear();
+    let share = installed_share(snap);
+    for &id in &uplinks {
+        let tc = install_priority_htb(fabric.topology.link_mut(id), share, snap.queue_pkts, now);
         for &ip in &high_ips {
             // Responses and requests flowing toward a high-priority pod.
             tc.add_filter(FilterMatch::any().dst_ip(ip), ClassId(0));
@@ -253,109 +241,88 @@ pub fn install_host_tc_with_share(
             // calling ratings) — the prototype's bidirectional intent.
             tc.add_filter(FilterMatch::any().src_ip(ip), ClassId(0));
         }
-        // Everything else is low: DSCP EF still maps high (belt-and-braces
-        // with (d)), and the default class is the low band.
+        // DSCP EF still maps high (belt-and-braces with (d)).
         tc.map_dscp(DSCP_LATENCY, ClassId(0));
-        tc.set_default_class(ClassId(1));
-        installed += 1;
     }
-    installed
+    format!("htb_installed={} share={share:.2}", uplinks.len())
 }
 
-/// Install the (d) fabric configuration on every switch-side (downlink)
-/// link: priority queues classifying on the in-band DSCP tag. Returns the
-/// number of links reconfigured.
-pub fn install_net_prio(
+/// (d) Priority queues on every switch-side (downlink) link, classifying
+/// on the in-band DSCP tag. Off, each gets the baseline DropTail back.
+/// Returns the policy-apply detail.
+pub fn apply_net_prio(
     fabric: &mut Fabric,
     cluster: &Cluster,
-    queue_pkts: usize,
+    snap: &PolicySnapshot,
     now: SimTime,
-) -> usize {
-    install_net_prio_with_share(fabric, cluster, queue_pkts, HIGH_PRIO_SHARE, now)
-}
-
-/// [`install_net_prio`] with an explicit high-class bandwidth share.
-pub fn install_net_prio_with_share(
-    fabric: &mut Fabric,
-    cluster: &Cluster,
-    queue_pkts: usize,
-    share: f64,
-    now: SimTime,
-) -> usize {
-    let share = share.clamp(0.01, 0.99);
-    let pods: Vec<_> = cluster.pods().map(|p| p.id).collect();
-    let mut installed = 0;
-    for pod in pods {
-        let link_id = fabric.downlink(pod);
-        let link = fabric.topology.link_mut(link_id);
-        let rate = link.rate_bps();
-        let high_rate = (rate as f64 * share) as u64;
-        let qdisc = HtbLite::new(vec![
-            HtbClass {
-                limit_pkts: queue_pkts,
-                ..HtbClass::new(high_rate, rate, 0)
-            },
-            HtbClass {
-                limit_pkts: queue_pkts,
-                ..HtbClass::new(rate - high_rate, rate, 1)
-            },
-        ]);
-        link.set_qdisc(Box::new(qdisc), now);
-        let tc = link.tc_mut();
-        tc.clear();
+) -> String {
+    let downlinks: Vec<LinkId> = cluster.pods().map(|p| fabric.downlink(p.id)).collect();
+    if !snap.xlayer.net_prio {
+        return reset_to_droptail(fabric, &downlinks, snap.queue_pkts, now);
+    }
+    let share = installed_share(snap);
+    for &id in &downlinks {
+        let tc = install_priority_htb(fabric.topology.link_mut(id), share, snap.queue_pkts, now);
         tc.map_dscp(DSCP_LATENCY, ClassId(0));
         tc.map_dscp(DSCP_BATCH, ClassId(1));
-        tc.set_default_class(ClassId(1));
-        installed += 1;
     }
-    installed
+    format!("prio_installed={} share={share:.2}", downlinks.len())
 }
 
-/// Tear the (c) host TC configuration back down to the default drop-tail
-/// qdisc with no filters (the baseline). Queued packets are preserved by
-/// the qdisc swap. Returns the number of links reset.
-pub fn reset_host_tc(
-    fabric: &mut Fabric,
-    cluster: &Cluster,
+/// The high-class share a snapshot installs: its `high_share`, clamped so
+/// neither class is starved outright.
+fn installed_share(snap: &PolicySnapshot) -> f64 {
+    snap.high_share.clamp(0.01, 0.99)
+}
+
+/// Swap `link` to the HTB both priority sites use: a high class (priority
+/// 0) guaranteed `share` of the line rate and a low class with the rest,
+/// both allowed to borrow up to line rate. The qdisc swap keeps the queued
+/// backlog. Returns the link's TC table, emptied and defaulting to the low
+/// class, for the caller's filters.
+fn install_priority_htb(
+    link: &mut Link,
+    share: f64,
     queue_pkts: usize,
     now: SimTime,
-) -> usize {
-    let pods: Vec<_> = cluster.pods().map(|p| p.id).collect();
-    let mut reset = 0;
-    for pod in pods {
-        let link_id = fabric.uplink(pod);
-        let link = fabric.topology.link_mut(link_id);
+) -> &mut TcTable {
+    let rate = link.rate_bps();
+    let high_rate = (rate as f64 * share) as u64;
+    let qdisc = HtbLite::new(vec![
+        HtbClass {
+            limit_pkts: queue_pkts,
+            ..HtbClass::new(high_rate, rate, 0)
+        },
+        HtbClass {
+            limit_pkts: queue_pkts,
+            ..HtbClass::new(rate - high_rate, rate, 1)
+        },
+    ]);
+    link.set_qdisc(Box::new(qdisc), now);
+    let tc = link.tc_mut();
+    tc.clear();
+    tc.set_default_class(ClassId(1));
+    tc
+}
+
+/// Swap `links` back to the baseline DropTail with no filters. The qdisc
+/// swap keeps the queued backlog. Returns the policy-apply detail.
+fn reset_to_droptail(
+    fabric: &mut Fabric,
+    links: &[LinkId],
+    queue_pkts: usize,
+    now: SimTime,
+) -> String {
+    for &id in links {
+        let link = fabric.topology.link_mut(id);
         link.set_qdisc(Box::new(DropTail::new(queue_pkts)), now);
         let tc = link.tc_mut();
         tc.clear();
         // `clear` drops filters and DSCP mappings but not the default
         // class; restore the baseline band explicitly.
         tc.set_default_class(ClassId(0));
-        reset += 1;
     }
-    reset
-}
-
-/// Tear the (d) fabric priority queues back down to drop-tail. Returns the
-/// number of links reset.
-pub fn reset_net_prio(
-    fabric: &mut Fabric,
-    cluster: &Cluster,
-    queue_pkts: usize,
-    now: SimTime,
-) -> usize {
-    let pods: Vec<_> = cluster.pods().map(|p| p.id).collect();
-    let mut reset = 0;
-    for pod in pods {
-        let link_id = fabric.downlink(pod);
-        let link = fabric.topology.link_mut(link_id);
-        link.set_qdisc(Box::new(DropTail::new(queue_pkts)), now);
-        let tc = link.tc_mut();
-        tc.clear();
-        tc.set_default_class(ClassId(0));
-        reset += 1;
-    }
-    reset
+    format!("droptail_reset={}", links.len())
 }
 
 /// The pod IPs of every replica in a `high` subset, across all services.
@@ -394,6 +361,24 @@ mod tests {
             .iter()
             .map(|(k, v)| (k.to_string(), v.to_string()))
             .collect()
+    }
+
+    /// A snapshot of `xlayer` at `high_share` (the pushed-policy shape).
+    fn snap(xlayer: XLayerConfig, high_share: f64) -> PolicySnapshot {
+        PolicySnapshot {
+            version: 2,
+            xlayer,
+            high_share,
+            queue_pkts: 512,
+        }
+    }
+
+    /// Baseline with only `host_tc` on.
+    fn host_tc_only() -> XLayerConfig {
+        XLayerConfig {
+            host_tc: true,
+            ..XLayerConfig::baseline()
+        }
     }
 
     fn cluster_with_priority_reviews() -> Cluster {
@@ -452,11 +437,11 @@ mod tests {
     #[test]
     fn priority_routes_split_reviews() {
         let c = cluster_with_priority_reviews();
-        let mut routes = RouteTable::new();
-        routes.push(RouteRule::passthrough("frontend"));
-        routes.push(RouteRule::passthrough("reviews"));
-        routes.push(RouteRule::passthrough("ratings"));
-        install_priority_routes(&mut routes, &c);
+        let mut base = RouteTable::new();
+        base.push(RouteRule::passthrough("frontend"));
+        base.push(RouteRule::passthrough("reviews"));
+        base.push(RouteRule::passthrough("ratings"));
+        let routes = apply_routes(&base, &c, &snap(XLayerConfig::paper_prototype(), 0.95));
         // High request to reviews -> subset high.
         let hi = Request::get("reviews", "/r").with_header(HDR_PRIORITY, "high");
         let r = routes.resolve(&hi).unwrap();
@@ -490,8 +475,11 @@ mod tests {
     fn host_tc_installs_on_every_uplink() {
         let c = cluster_with_priority_reviews();
         let mut fabric = Fabric::build(&c, &NetworkPlan::default());
-        let n = install_host_tc(&mut fabric, &c, 512, SimTime::ZERO);
-        assert_eq!(n, c.pod_count());
+        let detail = apply_host_tc(&mut fabric, &c, &snap(host_tc_only(), 0.95), SimTime::ZERO);
+        assert_eq!(
+            detail,
+            format!("htb_installed={} share=0.95", c.pod_count())
+        );
         // Uplink filters classify packets to the high pod as class 0.
         let high_ip = high_subset_ips(&c)[0];
         let ratings = c.endpoints("ratings", None)[0];
@@ -513,13 +501,14 @@ mod tests {
     fn host_tc_reset_restores_baseline() {
         let c = cluster_with_priority_reviews();
         let mut fabric = Fabric::build(&c, &NetworkPlan::default());
-        install_host_tc_with_share(&mut fabric, &c, 512, 0.8, SimTime::ZERO);
+        apply_host_tc(&mut fabric, &c, &snap(host_tc_only(), 0.8), SimTime::ZERO);
         let ratings = c.endpoints("ratings", None)[0];
         let up = fabric.uplink(ratings);
         assert!(!fabric.topology.link(up).tc().is_empty());
 
-        let n = reset_host_tc(&mut fabric, &c, 512, SimTime::ZERO);
-        assert_eq!(n, c.pod_count());
+        let off = snap(XLayerConfig::baseline(), 0.8);
+        let detail = apply_host_tc(&mut fabric, &c, &off, SimTime::ZERO);
+        assert_eq!(detail, format!("droptail_reset={}", c.pod_count()));
         let tc = fabric.topology.link(up).tc();
         assert!(tc.is_empty());
         // Untagged and tagged packets alike land in the default band 0.
@@ -532,8 +521,15 @@ mod tests {
     fn net_prio_classifies_on_dscp() {
         let c = cluster_with_priority_reviews();
         let mut fabric = Fabric::build(&c, &NetworkPlan::default());
-        let n = install_net_prio(&mut fabric, &c, 512, SimTime::ZERO);
-        assert_eq!(n, c.pod_count());
+        let on = XLayerConfig {
+            net_prio: true,
+            ..XLayerConfig::baseline()
+        };
+        let detail = apply_net_prio(&mut fabric, &c, &snap(on, 0.95), SimTime::ZERO);
+        assert_eq!(
+            detail,
+            format!("prio_installed={} share=0.95", c.pod_count())
+        );
         let frontend = c.endpoints("frontend", None)[0];
         let down = fabric.downlink(frontend);
         let tc = fabric.topology.link(down).tc();
@@ -544,5 +540,17 @@ mod tests {
         assert_eq!(tc.classify(&pkt), ClassId(1));
         pkt.dscp = 0;
         assert_eq!(tc.classify(&pkt), ClassId(1), "untagged is low");
+    }
+
+    #[test]
+    fn apply_detail_reports_the_installed_share() {
+        let c = cluster_with_priority_reviews();
+        let mut fabric = Fabric::build(&c, &NetworkPlan::default());
+        let n = c.pod_count();
+        let full = snap(XLayerConfig::full(), 1.0);
+        let detail = apply_host_tc(&mut fabric, &c, &full, SimTime::ZERO);
+        assert_eq!(detail, format!("htb_installed={n} share=0.99"));
+        let detail = apply_net_prio(&mut fabric, &c, &full, SimTime::ZERO);
+        assert_eq!(detail, format!("prio_installed={n} share=0.99"));
     }
 }
