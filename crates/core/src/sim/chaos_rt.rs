@@ -184,8 +184,8 @@ impl Simulation {
                 ))
             }
             FaultKind::Rollback { to_version } => {
-                let snap = self.policy.snapshot(*to_version)?.clone();
-                let version = self.policy.propose(
+                let snap = self.policy.plane.snapshot(*to_version)?.clone();
+                let version = self.policy.plane.propose(
                     snap.xlayer,
                     snap.high_share,
                     snap.queue_pkts,

@@ -91,11 +91,7 @@ impl Simulation {
                 self.push_ev(at, Ev::Arrival { gen });
             }
         }
-        if self.live.sdn_lb {
-            self.sdn_armed = true;
-            let t = SimTime::ZERO + SDN_TICK;
-            self.push_ev(t, Ev::SdnTick);
-        }
+        self.arm_sdn(SimTime::ZERO);
         {
             let t = SimTime::ZERO + CONTROL_TICK;
             self.push_ev(t, Ev::ControlTick);
@@ -356,7 +352,7 @@ impl Simulation {
             GaugeKind::PolicyVersion,
             "fleet",
             now,
-            self.policy.converged_version() as f64,
+            self.policy.plane.converged_version() as f64,
         );
         let classes = self.telemetry.slo_classes();
         for class in classes {
@@ -371,7 +367,7 @@ impl Simulation {
 
         // The closed loop: the adaptation controller reads the fresh burn
         // state (and the SDN congestion view) and may propose a policy.
-        let proposal = if let Some(ad) = self.adapt.as_mut() {
+        let proposal = if let Some(ad) = self.policy.adapt.as_mut() {
             let burning = self.telemetry.burning(ad.watch_class());
             let congested = self.sdn.congested_links() > 0;
             ad.on_scrape(burning, congested)

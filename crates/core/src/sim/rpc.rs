@@ -48,7 +48,7 @@ impl Simulation {
         }
         let mut req = gr.request;
         // §4.3 step 1: classify at the ingress and stamp the header.
-        if self.live.classify {
+        if self.policy.live.classify {
             let classifier = self.spec.classifier.clone();
             classifier.stamp(&mut req);
         }
@@ -100,7 +100,7 @@ impl Simulation {
             let cluster = &self.cluster;
             let fabric = &self.fabric;
             let sdn = &self.sdn;
-            let sdn_lb = self.live.sdn_lb;
+            let sdn_lb = self.policy.live.sdn_lb;
             let subsets = &self.subsets;
             let sc = self.sidecars.get_mut(caller).expect("caller sidecar");
             // §4.3 step 2: copy priority/trace onto the child request.
@@ -444,7 +444,7 @@ impl Simulation {
         let cluster = &self.cluster;
         let fabric = &self.fabric;
         let sdn = &self.sdn;
-        let sdn_lb = self.live.sdn_lb;
+        let sdn_lb = self.policy.live.sdn_lb;
         let subsets = &self.subsets;
         let sc = self.sidecars.get_mut(caller).expect("caller sidecar");
         sc.route_outbound(
