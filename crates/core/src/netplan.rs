@@ -349,6 +349,81 @@ impl Fabric {
 mod tests {
     use super::*;
     use meshlayer_cluster::{ServiceBehavior, ServiceSpec};
+    use meshlayer_netsim::{Link, LinkId};
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// The reference routing weight of a link: propagation delay plus the
+    /// serialization time of a 1500-byte packet (so faster links win
+    /// ties), at least 1 ns.
+    fn weight(l: &Link) -> u64 {
+        let tx = meshlayer_simcore::time::tx_time(1500, l.rate_bps());
+        (l.delay().as_nanos() + tx.as_nanos()).max(1)
+    }
+
+    /// The reference router: Dijkstra from `src` over the topology's
+    /// public links. Returns each node's distance and the link its
+    /// shortest path arrives by (the first one found on ties).
+    fn dijkstra(t: &Topology, src: NodeId) -> (Vec<u64>, Vec<Option<LinkId>>) {
+        let n = t.node_count();
+        let mut dist = vec![u64::MAX; n];
+        let mut via = vec![None; n];
+        dist[src.0 as usize] = 0;
+        let mut heap = BinaryHeap::from([Reverse((0u64, src.0))]);
+        while let Some(Reverse((d, u))) = heap.pop() {
+            if d > dist[u as usize] {
+                continue;
+            }
+            for l in t.links().filter(|l| l.from().0 == u) {
+                let v = l.to().0 as usize;
+                let nd = d + weight(l);
+                if nd < dist[v] {
+                    dist[v] = nd;
+                    via[v] = Some(l.id());
+                    heap.push(Reverse((nd, v as u32)));
+                }
+            }
+        }
+        (dist, via)
+    }
+
+    /// The oracle's path to `dst` in the shortest-path tree `via` rooted
+    /// at `src`.
+    fn oracle_path(t: &Topology, via: &[Option<LinkId>], src: NodeId, dst: NodeId) -> Vec<LinkId> {
+        let mut links = Vec::new();
+        let mut cur = dst;
+        while cur != src {
+            let l = via[cur.0 as usize].expect("oracle reaches every node");
+            links.push(l);
+            cur = t.link(l).from();
+        }
+        links.reverse();
+        links
+    }
+
+    /// Route every pod pair of `f` and compare with the oracle. With
+    /// `unique` shortest paths the route must be the oracle's, link for
+    /// link; under ECMP it must match the oracle's hop count and total
+    /// weight.
+    fn assert_pod_routes_match_oracle(c: &Cluster, f: &Fabric, unique: bool) {
+        let t = &f.topology;
+        for a in c.pods() {
+            let src = f.node_of(a.id);
+            let (dist, via) = dijkstra(t, src);
+            for b in c.pods().filter(|b| b.id != a.id) {
+                let dst = f.node_of(b.id);
+                let got = t.path(src, dst).links;
+                let want = oracle_path(t, &via, src, dst);
+                if unique {
+                    assert_eq!(got, want, "{:?}->{:?}", a.id, b.id);
+                } else {
+                    assert_eq!(got.len(), want.len(), "hops {:?}->{:?}", a.id, b.id);
+                    let w: u64 = got.iter().map(|&l| weight(t.link(l))).sum();
+                    assert_eq!(w, dist[dst.0 as usize], "weight {:?}->{:?}", a.id, b.id);
+                }
+            }
+        }
+    }
 
     fn cluster() -> Cluster {
         let mut c = Cluster::new(&["host"], 64);
@@ -399,7 +474,7 @@ mod tests {
     #[test]
     fn all_pod_pairs_route_via_switch() {
         let c = cluster();
-        let mut f = Fabric::build(&c, &NetworkPlan::default());
+        let f = Fabric::build(&c, &NetworkPlan::default());
         let pods: Vec<PodId> = c.pods().map(|p| p.id).collect();
         for &a in &pods {
             for &b in &pods {
@@ -409,6 +484,7 @@ mod tests {
                 }
             }
         }
+        assert_pod_routes_match_oracle(&c, &f, true);
     }
 
     #[test]
@@ -433,7 +509,25 @@ mod tests {
     fn star_installs_hier_routing() {
         let c = cluster();
         let f = Fabric::build(&c, &NetworkPlan::default());
-        assert!(f.topology.has_hier());
+        // A topology with no installed table routes nothing.
+        for pod in c.pods() {
+            assert!(f.topology.next_hop(f.node_of(pod.id), f.switch).is_some());
+        }
+    }
+
+    #[test]
+    fn hier_star_matches_dijkstra() {
+        let c = cluster();
+        let f = Fabric::build(&c, &NetworkPlan::default());
+        let t = &f.topology;
+        let n = t.node_count() as u32;
+        for a in (0..n).map(NodeId) {
+            let (_, via) = dijkstra(t, a);
+            for b in (0..n).map(NodeId) {
+                let first = oracle_path(t, &via, a, b).first().copied();
+                assert_eq!(t.next_hop(a, b), first, "{a:?}->{b:?}");
+            }
+        }
     }
 
     fn zonal_plan() -> NetworkPlan {
@@ -448,8 +542,7 @@ mod tests {
     #[test]
     fn zonal_all_pod_pairs_reachable() {
         let c = cluster(); // 4 pods over 2 leaves
-        let mut f = Fabric::build(&c, &zonal_plan());
-        assert!(f.topology.has_hier());
+        let f = Fabric::build(&c, &zonal_plan());
         let pods: Vec<PodId> = c.pods().map(|p| p.id).collect();
         for &a in &pods {
             for &b in &pods {
@@ -460,6 +553,7 @@ mod tests {
                 }
             }
         }
+        assert_pod_routes_match_oracle(&c, &f, false);
     }
 
     #[test]
@@ -504,7 +598,9 @@ mod tests {
         /// Any zonal fabric shape over any pod count stays fully
         /// connected under hierarchical routing: every pod pair has a
         /// loop-free path (`Topology::path` panics on unreachability or
-        /// a routing loop).
+        /// a routing loop), and it is a shortest one: the reference
+        /// router's own path with one spine, one of equal hops and weight
+        /// under ECMP.
         #[test]
         fn zonal_fabric_always_connected(
             zones in 1usize..4,
@@ -521,8 +617,7 @@ mod tests {
                 spines,
                 oversubscription,
             });
-            let mut f = Fabric::build(&c, &plan);
-            proptest::prop_assert!(f.topology.has_hier());
+            let f = Fabric::build(&c, &plan);
             let pod_ids: Vec<PodId> = c.pods().map(|p| p.id).collect();
             for &a in &pod_ids {
                 for &b in &pod_ids {
@@ -532,6 +627,7 @@ mod tests {
                     }
                 }
             }
+            assert_pod_routes_match_oracle(&c, &f, spines == 1);
         }
     }
 }

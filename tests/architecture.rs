@@ -102,9 +102,18 @@ fn fig2_stack_layers_compose() {
     let mut topo = meshlayer::netsim::Topology::new();
     let a = topo.add_node("a");
     let bb = topo.add_node("b");
-    topo.add_duplex(a, bb, 1_000_000_000, SimDuration::from_micros(10), || {
+    let (ab, ba) = topo.add_duplex(a, bb, 1_000_000_000, SimDuration::from_micros(10), || {
         Box::new(meshlayer::netsim::DropTail::new(64))
     });
+    // Routing reads the table a fabric builder installs: here, each host
+    // reaches the other over its own uplink.
+    let uplink = |lo: u32, link| meshlayer::netsim::HierEntry {
+        lo,
+        hi: lo + 1,
+        up: vec![link],
+        children: Vec::new(),
+    };
+    topo.install_hier(vec![uplink(0, ab), uplink(1, ba)]);
     assert_eq!(topo.path(a, bb).hops(), 1);
     // Physical/engine layer: the event queue beneath it all.
     let mut q: meshlayer::simcore::EventQueue<u8> = meshlayer::simcore::EventQueue::new();
