@@ -2,7 +2,7 @@
 
 use crate::behavior::ServiceBehavior;
 use crate::compute::{ComputeConfig, PodCompute};
-use crate::scheduler::{Placement, Scheduler};
+use crate::scheduler::Scheduler;
 use meshlayer_http::HeaderMap;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -59,8 +59,6 @@ pub struct ServiceSpec {
     pub behaviors: Vec<(String, ServiceBehavior)>,
     /// Compute-queue settings per pod.
     pub compute: ComputeConfig,
-    /// Placement policy.
-    pub placement: Placement,
 }
 
 impl ServiceSpec {
@@ -73,7 +71,6 @@ impl ServiceSpec {
             subsets: Vec::new(),
             behaviors: vec![(String::new(), behavior)],
             compute: ComputeConfig::default(),
-            placement: Placement::Spread,
         }
     }
 
@@ -98,12 +95,6 @@ impl ServiceSpec {
     /// Builder: set compute config.
     pub fn with_compute(mut self, compute: ComputeConfig) -> Self {
         self.compute = compute;
-        self
-    }
-
-    /// Builder: set placement policy.
-    pub fn with_placement(mut self, placement: Placement) -> Self {
-        self.placement = placement;
         self
     }
 }
@@ -204,7 +195,7 @@ impl Cluster {
         for replica in 0..spec.replicas {
             let node = self
                 .scheduler
-                .place(spec.placement)
+                .place()
                 .unwrap_or_else(|| panic!("no capacity for {}-{replica}", spec.name));
             let pid = PodId(self.pods.len() as u32);
             let mut labels = BTreeMap::new();

@@ -10,7 +10,7 @@
 //! * [`ServiceSpec`] / [`Cluster::deploy`] — declarative services with
 //!   replica counts, labels and subsets ([`Subset`], the `DestinationRule`
 //!   analogue used to pin priorities to replicas);
-//! * [`scheduler`] — pod placement (spread / bin-pack);
+//! * [`scheduler`] — pod placement (spread);
 //! * discovery — [`Cluster::endpoints`] resolves a service (and optional
 //!   subset) to live pod endpoints, which sidecars load-balance across;
 //! * [`behavior`] — declarative service behaviour: per-request compute
@@ -33,4 +33,4 @@ pub use behavior::{CallStep, ServiceBehavior};
 pub use cluster::{Cluster, Pod, PodId, ServiceId, ServiceSpec, Subset};
 pub use compute::{Admission, ComputeConfig, PodCompute};
 pub use gen::{service_tree, ServiceTreeParams};
-pub use scheduler::{Placement, Scheduler};
+pub use scheduler::Scheduler;

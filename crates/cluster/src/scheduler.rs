@@ -1,24 +1,7 @@
 //! Pod placement.
 //!
-//! Kubernetes' scheduler reduced to the two policies that matter for the
-//! experiments: *spread* (balance pods across nodes, the default) and
-//! *bin-pack* (fill nodes in order — used to co-locate contending pods so
-//! a single host link becomes the bottleneck, like the paper's single-
-//! server testbed).
-
-use serde::{Deserialize, Serialize};
-
-/// Placement policy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum Placement {
-    /// Place each pod on the node with the fewest pods (ties: lowest id).
-    #[default]
-    Spread,
-    /// Fill nodes in id order up to capacity.
-    BinPack,
-    /// Pin to a specific node by index (modulo node count).
-    Pinned(usize),
-}
+//! Kubernetes' scheduler reduced to the one policy the experiments use:
+//! *spread*, which balances pods across nodes.
 
 /// A pure placement function over node occupancy.
 #[derive(Clone, Debug)]
@@ -48,29 +31,16 @@ impl Scheduler {
         self.occupancy[node]
     }
 
-    /// Choose a node for the next pod; `None` if the cluster is full.
-    pub fn place(&mut self, policy: Placement) -> Option<usize> {
-        let choice = match policy {
-            Placement::Spread => self
-                .occupancy
-                .iter()
-                .enumerate()
-                .filter(|(i, &o)| o < self.capacity[*i])
-                .min_by_key(|(i, &o)| (o, *i))
-                .map(|(i, _)| i),
-            Placement::BinPack => {
-                (0..self.capacity.len()).find(|&i| self.occupancy[i] < self.capacity[i])
-            }
-            Placement::Pinned(want) => {
-                let n = self.capacity.len();
-                if n == 0 {
-                    None
-                } else {
-                    let i = want % n;
-                    (self.occupancy[i] < self.capacity[i]).then_some(i)
-                }
-            }
-        }?;
+    /// Choose a node for the next pod: the one with the fewest pods that
+    /// has room (ties: lowest id). `None` if the cluster is full.
+    pub fn place(&mut self) -> Option<usize> {
+        let choice = self
+            .occupancy
+            .iter()
+            .enumerate()
+            .filter(|(i, &o)| o < self.capacity[*i])
+            .min_by_key(|(i, &o)| (o, *i))
+            .map(|(i, _)| i)?;
         self.occupancy[choice] += 1;
         Some(choice)
     }
@@ -83,42 +53,21 @@ mod tests {
     #[test]
     fn spread_balances() {
         let mut s = Scheduler::new(vec![10, 10, 10]);
-        let placements: Vec<usize> = (0..6)
-            .map(|_| s.place(Placement::Spread).unwrap())
-            .collect();
+        let placements: Vec<usize> = (0..6).map(|_| s.place().unwrap()).collect();
         assert_eq!(placements, vec![0, 1, 2, 0, 1, 2]);
-    }
-
-    #[test]
-    fn binpack_fills_in_order() {
-        let mut s = Scheduler::new(vec![2, 2]);
-        let placements: Vec<usize> = (0..4)
-            .map(|_| s.place(Placement::BinPack).unwrap())
-            .collect();
-        assert_eq!(placements, vec![0, 0, 1, 1]);
-        assert_eq!(s.place(Placement::BinPack), None, "cluster full");
-    }
-
-    #[test]
-    fn pinned_wraps_and_respects_capacity() {
-        let mut s = Scheduler::new(vec![1, 1]);
-        assert_eq!(s.place(Placement::Pinned(3)), Some(1)); // 3 % 2
-        assert_eq!(s.place(Placement::Pinned(1)), None, "node 1 full");
-        assert_eq!(s.place(Placement::Pinned(0)), Some(0));
     }
 
     #[test]
     fn spread_skips_full_nodes() {
         let mut s = Scheduler::new(vec![1, 5]);
-        assert_eq!(s.place(Placement::Spread), Some(0));
-        assert_eq!(s.place(Placement::Spread), Some(1));
-        assert_eq!(s.place(Placement::Spread), Some(1), "node 0 is full");
+        assert_eq!(s.place(), Some(0));
+        assert_eq!(s.place(), Some(1));
+        assert_eq!(s.place(), Some(1), "node 0 is full");
     }
 
     #[test]
     fn empty_cluster_places_nothing() {
         let mut s = Scheduler::new(vec![]);
-        assert_eq!(s.place(Placement::Spread), None);
-        assert_eq!(s.place(Placement::Pinned(0)), None);
+        assert_eq!(s.place(), None);
     }
 }

@@ -34,12 +34,6 @@ pub fn fold_u64(state: u64, v: u64) -> u64 {
     fold_bytes(state, &v.to_le_bytes())
 }
 
-/// Fold a little-endian `u32` into an existing digest state.
-#[inline]
-pub fn fold_u32(state: u64, v: u32) -> u64 {
-    fold_bytes(state, &v.to_le_bytes())
-}
-
 /// Hash a byte slice from scratch (offset basis start).
 #[inline]
 pub fn fnv1a(bytes: &[u8]) -> u64 {

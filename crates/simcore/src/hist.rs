@@ -177,11 +177,6 @@ impl Histogram {
         SimDuration::from_nanos(self.value_at_quantile(0.99))
     }
 
-    /// p99.9 as a duration.
-    pub fn p999(&self) -> SimDuration {
-        SimDuration::from_nanos(self.value_at_quantile(0.999))
-    }
-
     /// Merge another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
         if other.counts.len() > self.counts.len() {

@@ -39,7 +39,7 @@ pub mod time;
 
 pub use dist::Dist;
 pub use event::EventQueue;
-pub use fxmap::{FxHashMap, FxHashSet};
+pub use fxmap::FxHashMap;
 pub use hist::Histogram;
 pub use rng::SimRng;
 pub use stats::{Ewma, Welford};
