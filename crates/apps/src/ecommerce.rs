@@ -276,7 +276,7 @@ mod tests {
             .workloads
             .iter()
             .filter(|w| w.name.starts_with("user"))
-            .map(|w| w.arrival.rps())
+            .map(|w| w.arrival.rps)
             .sum();
         assert!((total_ls - 20.0).abs() < 1e-9);
     }

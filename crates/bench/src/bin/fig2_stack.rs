@@ -34,7 +34,7 @@ fn main() {
         (
             "Link",
             "meshlayer-netsim::link + qdisc",
-            "serialization, propagation, DropTail/PRIO/TBF/HTB/DRR",
+            "serialization, propagation, DropTail/PRIO/HTB",
         ),
         (
             "Physical",

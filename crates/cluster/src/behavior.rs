@@ -184,7 +184,7 @@ mod tests {
                 CallStep::call("x", "/1"),
                 CallStep::Compute(Dist::exp(0.01)),
             ]),
-            response_bytes: Dist::uniform(100.0, 200.0),
+            response_bytes: Dist::lognormal(150.0, 0.3),
         };
         let s = serde_json::to_string(&b).unwrap();
         let back: ServiceBehavior = serde_json::from_str(&s).unwrap();

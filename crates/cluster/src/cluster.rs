@@ -331,7 +331,7 @@ impl Cluster {
 }
 
 /// Construct the standard priority headers a pod's application attaches
-/// when spawning child requests (used by tests and the realnet prototype).
+/// when spawning child requests.
 pub fn propagation_headers(request_id: &str, priority: Option<&str>) -> HeaderMap {
     let mut h = HeaderMap::new();
     h.set(meshlayer_http::HDR_REQUEST_ID, request_id);

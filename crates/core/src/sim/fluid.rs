@@ -424,6 +424,31 @@ mod tests {
         }
     }
 
+    /// A star fabric with one pod per entry of `rates`, each pod's duplex
+    /// access link at that rate.
+    fn star(rates: &[u64]) -> crate::netplan::Fabric {
+        use crate::netplan::{Fabric, NetworkPlan};
+        use meshlayer_cluster::{ServiceBehavior, ServiceSpec};
+        let pods = rates.len() as u32;
+        let mut cluster = Cluster::new(&["n0"], pods);
+        cluster.deploy(ServiceSpec::new("svc", pods, ServiceBehavior::respond(0.0)));
+        let mut plan = NetworkPlan::default();
+        for (i, &rate) in rates.iter().enumerate() {
+            plan = plan.with_pod_rate(format!("svc-{}", i + 1), rate);
+        }
+        Fabric::build(&cluster, &plan)
+    }
+
+    /// A link's fluid capacity, written out independently of the solver:
+    /// its rate less the guaranteed packet share, or 0 while admin-down.
+    fn fluid_cap(l: &Link) -> u64 {
+        if l.is_admin_up() {
+            l.rate_bps() - l.rate_bps() / Link::MIN_PACKET_SHARE_DIV
+        } else {
+            0
+        }
+    }
+
     proptest! {
         /// The settlement invariant, exactly, under arbitrary window
         /// lengths and arbitrary per-window admitted rates: cumulative
@@ -471,6 +496,92 @@ mod tests {
             let before = rt.flows[0].injected_bytes;
             prop_assert!(rt.settle(SimTime::from_millis(500)).is_empty());
             prop_assert_eq!(rt.flows[0].injected_bytes, before);
+        }
+
+        /// Reference check for the solver: 1–40 flows over random
+        /// non-empty subsets of the links of a four-pod star whose access
+        /// links run at four different rates, each demanding up to twice
+        /// the capacity of its smallest link, with one link optionally
+        /// admin-down. The allocation must carry the max-min certificate:
+        /// no link carries more than its fluid capacity, no flow gets more
+        /// than its demand, and every flow short of its demand crosses a
+        /// link that is full, on which no flow gets more than it does —
+        /// both to within the integer floors: fewer unallocated bps than
+        /// flows crossing the link, and fewer extra bps than that too
+        /// (a floored share leaves up to `users - 1` bps over, which later
+        /// rounds hand to some of the link's flows).
+        #[test]
+        fn solver_allocations_carry_the_max_min_certificate(
+            specs in proptest::collection::vec((1u32..256, 0u64..2_001), 1..41),
+            down in 0usize..16,
+        ) {
+            let mut fabric = star(&[
+                100_000_000,
+                1_000_000_000,
+                10_000_000_000,
+                15_000_000_000,
+            ]);
+            let n_links = fabric.topology.link_count();
+            prop_assert_eq!(n_links, 8);
+            let mut rt = FluidRt {
+                flows: Vec::new(),
+                last_settle: SimTime::ZERO,
+                paths_built: true,
+            };
+            for &(mask, permille) in &specs {
+                let mut f = flow(0);
+                f.path = (0..n_links as u32)
+                    .filter(|&b| (mask >> b) & 1 == 1)
+                    .map(LinkId)
+                    .collect();
+                let cap = f
+                    .path
+                    .iter()
+                    .map(|&l| fluid_cap(fabric.topology.link(l)))
+                    .min()
+                    .expect("non-empty path");
+                f.demand_bps = cap * permille / 1_000;
+                rt.flows.push(f);
+            }
+            if down < n_links {
+                fabric
+                    .topology
+                    .link_mut(LinkId(down as u32))
+                    .set_admin_up(false);
+            }
+            rt.solve(&fabric);
+
+            let caps: Vec<u64> = (0..n_links as u32)
+                .map(|l| fluid_cap(fabric.topology.link(LinkId(l))))
+                .collect();
+            let sums = rt.link_sums(n_links);
+            let mut users = vec![0u64; n_links];
+            let mut max_alloc = vec![0u64; n_links];
+            for f in &rt.flows {
+                for &l in &f.path {
+                    users[l.0 as usize] += 1;
+                    max_alloc[l.0 as usize] = max_alloc[l.0 as usize].max(f.alloc_bps);
+                }
+            }
+            for l in 0..n_links {
+                prop_assert!(sums[l] <= caps[l], "link {} carries {} > {}", l, sums[l], caps[l]);
+            }
+            for (i, f) in rt.flows.iter().enumerate() {
+                prop_assert!(f.alloc_bps <= f.demand_bps, "flow {} over its demand", i);
+                if f.alloc_bps < f.demand_bps {
+                    let bottleneck = f.path.iter().any(|&l| {
+                        let l = l.0 as usize;
+                        caps[l] - sums[l] < users[l] && max_alloc[l] < f.alloc_bps + users[l]
+                    });
+                    prop_assert!(
+                        bottleneck,
+                        "flow {} gets {} of {} with no bottleneck link",
+                        i,
+                        f.alloc_bps,
+                        f.demand_bps
+                    );
+                }
+            }
         }
     }
 

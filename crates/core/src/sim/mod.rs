@@ -41,7 +41,7 @@ use meshlayer_netsim::{LinkId, NodeId, Packet};
 use meshlayer_simcore::FxHashMap;
 use meshlayer_simcore::{Dist, EventQueue, SimDuration, SimRng, SimTime};
 use meshlayer_telemetry::{TelemetryConfig, TelemetryHub};
-use meshlayer_transport::{CcAlgo, Conn, ConnConfig, MuxPolicy, TimerSlot};
+use meshlayer_transport::{CcAlgo, Conn, ConnConfig, TimerSlot};
 use meshlayer_workload::{OpenLoopGen, Recorder, WorkloadSpec};
 use serde::{Deserialize, Serialize};
 
@@ -776,11 +776,6 @@ impl Simulation {
     /// upstream connection pooling. Messages rotate across the pool.
     const CONNS_PER_PAIR: usize = 4;
 
-    /// Message multiplexing on sidecar connections — Envoy-style HTTP/2
-    /// on upstream connections: concurrent messages interleave rather
-    /// than queue FIFO.
-    const MUX: MuxPolicy = MuxPolicy::RoundRobin;
-
     /// Resolve (or create) the connection pair between two pods for a
     /// transport class, returning `(conn id, direction for x)`.
     pub(crate) fn conn_for(&mut self, x: PodId, y: PodId, priority: Priority) -> (u64, u8) {
@@ -799,7 +794,6 @@ impl Simulation {
             let mk_cfg = |src: PodId, dst: PodId, cluster: &Cluster| ConnConfig {
                 dscp,
                 cc,
-                mux: Self::MUX,
                 src_ip: cluster.pod(src).ip,
                 dst_ip: cluster.pod(dst).ip,
                 ..ConnConfig::default()

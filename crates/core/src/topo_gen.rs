@@ -207,7 +207,7 @@ impl TopoParams {
             ));
         }
         for w in self.workloads() {
-            out.push_str(&format!("workload {} rps={:.3}\n", w.name, w.arrival.rps()));
+            out.push_str(&format!("workload {} rps={:.3}\n", w.name, w.arrival.rps));
         }
         out
     }

@@ -1,8 +1,8 @@
 //! Byte-level HTTP/1.1 codec.
 //!
-//! Used by the real-socket prototype (`meshlayer-realnet`) to speak actual
-//! HTTP over TCP, and by tests to validate that the simulated wire sizes
-//! line up with real serialization. Supports exactly the subset the mesh
+//! The simulation never serializes a message; tests use the codec to
+//! validate that the simulated wire sizes line up with real
+//! serialization. Supports exactly the subset the mesh
 //! needs: request line / status line, headers, `content-length`-framed
 //! bodies. No chunked encoding, no HTTP/2.
 

@@ -1,7 +1,7 @@
 //! # meshlayer-http
 //!
-//! The application-layer message model shared by the simulated mesh
-//! (`meshlayer-mesh`) and the real-socket prototype (`meshlayer-realnet`).
+//! The application-layer message model of the simulated mesh
+//! (`meshlayer-mesh`).
 //!
 //! * [`headers`] — a case-insensitive header multimap plus the well-known
 //!   mesh headers: `x-request-id` (Envoy's request correlation id, which
@@ -9,8 +9,8 @@
 //!   `x-mesh-priority` (the custom priority header of §4.3).
 //! * [`message`] — [`Request`]/[`Response`] with explicit body sizes (the
 //!   simulation transfers sizes, not payload bytes).
-//! * [`codec`] — a byte-level HTTP/1.1 codec used by the real-socket
-//!   prototype; the simulation uses it only to compute wire sizes.
+//! * [`codec`] — a byte-level HTTP/1.1 codec; tests check the simulated
+//!   wire sizes against it.
 //! * [`route`] — virtual-service routing rules (host/path/header matches to
 //!   named clusters and subsets), the Istio `VirtualService` analogue.
 

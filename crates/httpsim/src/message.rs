@@ -2,9 +2,7 @@
 //!
 //! The simulation never materializes body bytes: a [`Request`] or
 //! [`Response`] carries its `body_len` and the network transfers that many
-//! bytes. The real-socket prototype (`meshlayer-realnet`) materializes
-//! bodies through the [`crate::codec`] instead. Both share this type so the
-//! sidecar logic is written once.
+//! bytes; [`crate::codec`] serializes the same type byte for byte.
 
 use crate::headers::{HeaderMap, HDR_CONTENT_LENGTH, HDR_HOST};
 use serde::{Deserialize, Serialize};

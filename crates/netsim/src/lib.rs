@@ -15,8 +15,7 @@
 //!   (addresses, connection id, DSCP, firewall mark) for classifiers to do
 //!   everything Linux TC filters can do in the paper's experiment.
 //! * [`qdisc`] — queueing disciplines: [`qdisc::DropTail`], strict-priority
-//!   [`qdisc::Prio`], token-bucket [`qdisc::Tbf`], deficit-round-robin
-//!   [`qdisc::Drr`], and the classful [`qdisc::HtbLite`] used to give the
+//!   [`qdisc::Prio`], and the classful [`qdisc::HtbLite`] used to give the
 //!   high-priority pod "up to 95 % of bandwidth" exactly as the prototype's
 //!   TC rules do.
 //! * [`tc`] — the filter/classifier table that maps packets to qdisc
@@ -37,7 +36,7 @@ pub mod topology;
 
 pub use link::{Link, LinkOutcome, LinkStats};
 pub use packet::{ClassId, NodeId, Packet, PacketKind, DSCP_BATCH, DSCP_CONTROL, DSCP_LATENCY};
-pub use qdisc::{Codel, Deq, DropTail, Drr, HtbClass, HtbLite, Prio, Qdisc, Tbf, TokenBucket};
+pub use qdisc::{Deq, DropTail, HtbClass, HtbLite, Prio, Qdisc};
 pub use tap::{PacketTap, TapEvent, TapOp};
 pub use tc::{Filter, FilterMatch, TcTable};
 pub use topology::{HierEntry, LinkId, Route, Topology};

@@ -500,10 +500,19 @@ impl Link {
 mod tests {
     use super::*;
     use crate::packet::DSCP_LATENCY;
-    use crate::qdisc::{DropTail, Tbf};
+    use crate::qdisc::{DropTail, HtbClass, HtbLite};
 
     fn pkt(id: u64, payload: u32) -> Packet {
         Packet::data(id, NodeId(0), NodeId(1), 1, 0, payload, DSCP_LATENCY)
+    }
+
+    /// A one-class HTB with rate = ceil: a token-bucket shaper over a FIFO.
+    fn shaper(rate_bps: u64, burst_bytes: u64, limit_pkts: usize) -> HtbLite {
+        HtbLite::new(vec![HtbClass {
+            burst_bytes,
+            limit_pkts,
+            ..HtbClass::new(rate_bps, rate_bps, 0)
+        }])
     }
 
     fn mklink(rate_bps: u64) -> Link {
@@ -583,14 +592,14 @@ mod tests {
 
     #[test]
     fn shaped_qdisc_requests_kick() {
-        // TBF at 8 kbps with burst of exactly one packet.
+        // Shaped to 8 kbps with a burst of exactly one packet.
         let mut link = Link::new(
             LinkId(0),
             NodeId(0),
             NodeId(1),
             1_000_000_000,
             SimDuration::ZERO,
-            Box::new(Tbf::new(8_000, 166, 10)),
+            Box::new(shaper(8_000, 166, 10)),
         );
         let t0 = SimTime::ZERO;
         let (out, _) = link.offer(pkt(1, 100), t0); // 166B wire, rides burst
@@ -620,7 +629,7 @@ mod tests {
             NodeId(1),
             1_000_000_000,
             SimDuration::ZERO,
-            Box::new(Tbf::new(8_000, 166, 10)),
+            Box::new(shaper(8_000, 166, 10)),
         );
         let t0 = SimTime::ZERO;
         let (out, _) = link.offer(pkt(1, 100), t0);

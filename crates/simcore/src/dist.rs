@@ -1,11 +1,10 @@
 //! Sampling distributions for workload and service-time modelling.
 //!
-//! The paper's workload generator (`wrk2`) uses *uniformly random
-//! inter-arrival times*; service times in microservice fleets are commonly
-//! modelled as exponential, log-normal (heavy-ish tail) or Pareto (heavy
-//! tail). All of these are provided here, implemented from first principles
-//! on top of [`SimRng`] so the only external dependency is `rand`'s uniform
-//! source.
+//! Service times and message sizes in microservice fleets are commonly
+//! modelled as constant, exponential or log-normal (heavy-ish tail); those
+//! three are provided here, implemented from first principles on top of
+//! [`SimRng`]. Request *arrivals* are not drawn from here: they follow
+//! `wrk2`'s uniformly random inter-arrival times (`meshlayer-workload`).
 
 use crate::rng::SimRng;
 use crate::time::SimDuration;
@@ -22,13 +21,6 @@ pub enum Dist {
         /// The value returned by every sample.
         value: f64,
     },
-    /// Uniform on `[lo, hi)`.
-    Uniform {
-        /// Inclusive lower bound.
-        lo: f64,
-        /// Exclusive upper bound.
-        hi: f64,
-    },
     /// Exponential with the given mean (`1/λ`).
     Exp {
         /// Mean of the distribution.
@@ -41,44 +33,6 @@ pub enum Dist {
         mean: f64,
         /// Standard deviation of the underlying normal distribution.
         sigma: f64,
-    },
-    /// Normal clamped at zero.
-    Normal {
-        /// Mean.
-        mean: f64,
-        /// Standard deviation.
-        std_dev: f64,
-    },
-    /// Pareto (type I) with minimum `scale` and tail index `shape`
-    /// (heavier tail for smaller `shape`; mean is infinite for `shape <= 1`).
-    Pareto {
-        /// Minimum value (x_m).
-        scale: f64,
-        /// Tail index (α).
-        shape: f64,
-    },
-    /// Bimodal: `value_a` with probability `p_a`, else `value_b`.
-    /// Useful for "mostly fast, occasionally slow" service times.
-    Bimodal {
-        /// First mode.
-        value_a: f64,
-        /// Probability of the first mode.
-        p_a: f64,
-        /// Second mode.
-        value_b: f64,
-    },
-    /// Empirical distribution: samples uniformly from the given values.
-    Empirical {
-        /// The sample pool (must be non-empty to sample from).
-        values: Vec<f64>,
-    },
-    /// Zipf over `{1..n}` with exponent `s` (popularity skew; used for
-    /// session-affinity keys and cache-hit modelling). Samples are ranks.
-    Zipf {
-        /// Number of ranks.
-        n: u64,
-        /// Skew exponent (1.0 = classic Zipf; larger = more skewed).
-        s: f64,
     },
 }
 
@@ -93,11 +47,6 @@ impl Dist {
         Dist::Exp { mean }
     }
 
-    /// A uniform distribution on `[lo, hi)`.
-    pub fn uniform(lo: f64, hi: f64) -> Dist {
-        Dist::Uniform { lo, hi }
-    }
-
     /// A log-normal with target mean `mean` and shape `sigma`.
     pub fn lognormal(mean: f64, sigma: f64) -> Dist {
         Dist::LogNormal { mean, sigma }
@@ -107,13 +56,6 @@ impl Dist {
     pub fn sample(&self, rng: &mut SimRng) -> f64 {
         let v = match self {
             Dist::Constant { value } => *value,
-            Dist::Uniform { lo, hi } => {
-                if hi <= lo {
-                    *lo
-                } else {
-                    lo + rng.f64() * (hi - lo)
-                }
-            }
             Dist::Exp { mean } => {
                 // Inverse CDF; guard the log argument away from 0.
                 let u = (1.0 - rng.f64()).max(f64::MIN_POSITIVE);
@@ -124,46 +66,6 @@ impl Dist {
                 // Choose mu so that the sampled mean equals `mean`.
                 let mu = mean.max(f64::MIN_POSITIVE).ln() - sigma * sigma / 2.0;
                 (mu + sigma * standard_normal(rng)).exp()
-            }
-            Dist::Normal { mean, std_dev } => mean + std_dev * standard_normal(rng),
-            Dist::Pareto { scale, shape } => {
-                let u = (1.0 - rng.f64()).max(f64::MIN_POSITIVE);
-                scale / u.powf(1.0 / shape.max(f64::MIN_POSITIVE))
-            }
-            Dist::Bimodal {
-                value_a,
-                p_a,
-                value_b,
-            } => {
-                if rng.chance(*p_a) {
-                    *value_a
-                } else {
-                    *value_b
-                }
-            }
-            Dist::Empirical { values } => {
-                assert!(!values.is_empty(), "sampling empty Empirical dist");
-                *rng.choose(values).expect("non-empty")
-            }
-            Dist::Zipf { n, s } => {
-                // Inverse-CDF by bisection over the harmonic partial sums
-                // would be exact but slow; use the standard rejection-free
-                // approximation via the generalized harmonic inverse.
-                let n = (*n).max(1);
-                let s = s.max(1e-9);
-                let u = rng.f64().max(f64::MIN_POSITIVE);
-                if (s - 1.0).abs() < 1e-9 {
-                    // H_k ~ ln(k)+gamma: invert ln-based CDF.
-                    let hn = (n as f64).ln() + 0.577_215_664_9;
-                    ((u * hn).exp() - 0.0).clamp(1.0, n as f64).floor()
-                } else {
-                    // CDF(k) ~ (k^(1-s) - 1) / (n^(1-s) - 1).
-                    let p = 1.0 - s;
-                    let hn = ((n as f64).powf(p) - 1.0) / p;
-                    ((u * hn * p + 1.0).powf(1.0 / p))
-                        .clamp(1.0, n as f64)
-                        .floor()
-                }
             }
         };
         v.max(0.0)
@@ -179,79 +81,11 @@ impl Dist {
         self.sample(rng).round().max(0.0) as u64
     }
 
-    /// Analytic mean of the distribution where finite and defined.
+    /// Analytic mean of the distribution.
     pub fn mean(&self) -> f64 {
         match self {
             Dist::Constant { value } => *value,
-            Dist::Uniform { lo, hi } => (lo + hi) / 2.0,
-            Dist::Exp { mean } => *mean,
-            Dist::LogNormal { mean, .. } => *mean,
-            Dist::Normal { mean, .. } => *mean,
-            Dist::Pareto { scale, shape } => {
-                if *shape > 1.0 {
-                    shape * scale / (shape - 1.0)
-                } else {
-                    f64::INFINITY
-                }
-            }
-            Dist::Bimodal {
-                value_a,
-                p_a,
-                value_b,
-            } => p_a * value_a + (1.0 - p_a) * value_b,
-            Dist::Empirical { values } => {
-                if values.is_empty() {
-                    0.0
-                } else {
-                    values.iter().sum::<f64>() / values.len() as f64
-                }
-            }
-            Dist::Zipf { n, s } => {
-                // Exact by summation (n is small in practice).
-                let norm: f64 = (1..=*n).map(|k| (k as f64).powf(-s)).sum();
-                (1..=*n)
-                    .map(|k| k as f64 * (k as f64).powf(-s) / norm)
-                    .sum()
-            }
-        }
-    }
-
-    /// Scale the distribution by a positive factor (all samples multiplied).
-    pub fn scaled(&self, k: f64) -> Dist {
-        match self {
-            Dist::Constant { value } => Dist::Constant { value: value * k },
-            Dist::Uniform { lo, hi } => Dist::Uniform {
-                lo: lo * k,
-                hi: hi * k,
-            },
-            Dist::Exp { mean } => Dist::Exp { mean: mean * k },
-            Dist::LogNormal { mean, sigma } => Dist::LogNormal {
-                mean: mean * k,
-                sigma: *sigma,
-            },
-            Dist::Normal { mean, std_dev } => Dist::Normal {
-                mean: mean * k,
-                std_dev: std_dev * k,
-            },
-            Dist::Pareto { scale, shape } => Dist::Pareto {
-                scale: scale * k,
-                shape: *shape,
-            },
-            Dist::Bimodal {
-                value_a,
-                p_a,
-                value_b,
-            } => Dist::Bimodal {
-                value_a: value_a * k,
-                p_a: *p_a,
-                value_b: value_b * k,
-            },
-            Dist::Empirical { values } => Dist::Empirical {
-                values: values.iter().map(|v| v * k).collect(),
-            },
-            // Zipf is a rank distribution; scaling is not meaningful, so it
-            // passes through unchanged.
-            Dist::Zipf { n, s } => Dist::Zipf { n: *n, s: *s },
+            Dist::Exp { mean } | Dist::LogNormal { mean, .. } => *mean,
         }
     }
 }
@@ -284,19 +118,6 @@ mod tests {
     }
 
     #[test]
-    fn uniform_bounds_and_mean() {
-        let d = Dist::uniform(2.0, 4.0);
-        let mut rng = SimRng::new(2);
-        for _ in 0..1000 {
-            let v = d.sample(&mut rng);
-            assert!((2.0..4.0).contains(&v));
-        }
-        assert!((mean_of(&d, 50_000, 3) - 3.0).abs() < 0.02);
-        // Degenerate range collapses to lo.
-        assert_eq!(Dist::uniform(5.0, 5.0).sample(&mut rng), 5.0);
-    }
-
-    #[test]
     fn exp_mean_converges() {
         let d = Dist::exp(0.25);
         assert!((mean_of(&d, 100_000, 4) - 0.25).abs() < 0.01);
@@ -309,103 +130,12 @@ mod tests {
     }
 
     #[test]
-    fn normal_clamps_at_zero() {
-        let d = Dist::Normal {
-            mean: 0.0,
-            std_dev: 1.0,
-        };
-        let mut rng = SimRng::new(6);
-        for _ in 0..1000 {
-            assert!(d.sample(&mut rng) >= 0.0);
-        }
-    }
-
-    #[test]
-    fn pareto_min_and_mean() {
-        let d = Dist::Pareto {
-            scale: 1.0,
-            shape: 3.0,
-        };
-        let mut rng = SimRng::new(7);
-        for _ in 0..1000 {
-            assert!(d.sample(&mut rng) >= 1.0);
-        }
-        assert!((d.mean() - 1.5).abs() < 1e-12);
-        assert!((mean_of(&d, 200_000, 8) - 1.5).abs() < 0.05);
-        assert!(Dist::Pareto {
-            scale: 1.0,
-            shape: 0.9
-        }
-        .mean()
-        .is_infinite());
-    }
-
-    #[test]
-    fn bimodal_mixes() {
-        let d = Dist::Bimodal {
-            value_a: 1.0,
-            p_a: 0.9,
-            value_b: 100.0,
-        };
-        assert!((d.mean() - 10.9).abs() < 1e-9);
-        assert!((mean_of(&d, 100_000, 9) - 10.9).abs() < 0.5);
-    }
-
-    #[test]
-    fn empirical_samples_from_pool() {
-        let d = Dist::Empirical {
-            values: vec![1.0, 2.0, 3.0],
-        };
-        let mut rng = SimRng::new(10);
-        for _ in 0..100 {
-            let v = d.sample(&mut rng);
-            assert!(v == 1.0 || v == 2.0 || v == 3.0);
-        }
-        assert!((d.mean() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn scaled_scales_mean() {
-        let d = Dist::exp(2.0).scaled(3.0);
-        assert_eq!(d.mean(), 6.0);
-        let d = Dist::uniform(1.0, 3.0).scaled(2.0);
-        assert_eq!(d.mean(), 4.0);
-    }
-
-    #[test]
     fn sample_duration_and_bytes() {
         let mut rng = SimRng::new(11);
         let d = Dist::constant(0.002);
         assert_eq!(d.sample_duration(&mut rng).as_millis(), 2);
         let d = Dist::constant(1536.4);
         assert_eq!(d.sample_bytes(&mut rng), 1536);
-    }
-
-    #[test]
-    fn zipf_rank_one_dominates() {
-        let d = Dist::Zipf { n: 100, s: 1.0 };
-        let mut rng = SimRng::new(12);
-        let mut rank1 = 0;
-        let mut valid = true;
-        for _ in 0..10_000 {
-            let v = d.sample(&mut rng);
-            if !(1.0..=100.0).contains(&v) {
-                valid = false;
-            }
-            if v == 1.0 {
-                rank1 += 1;
-            }
-        }
-        assert!(valid, "samples outside [1, n]");
-        // H_100 ~ 5.19: rank 1 should get ~19% of draws.
-        assert!((1_000..3_500).contains(&rank1), "rank1 drawn {rank1}");
-    }
-
-    #[test]
-    fn zipf_mean_is_finite_and_small() {
-        let d = Dist::Zipf { n: 1000, s: 1.2 };
-        let m = d.mean();
-        assert!(m > 1.0 && m < 100.0, "mean {m}");
     }
 
     #[test]

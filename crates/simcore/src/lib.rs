@@ -6,9 +6,10 @@
 //! The paper's prototype ran on a real 32-core testbed; this crate is the
 //! substitute substrate: a virtual clock ([`SimTime`]), a deterministic
 //! event queue ([`EventQueue`]) with stable tie-breaking, a seedable RNG
-//! ([`SimRng`]) that can be split per component, a library of sampling
-//! distributions ([`dist`]), an HDR-style latency histogram ([`Histogram`])
-//! matching the measurement fidelity of `wrk2`, and online statistics
+//! ([`SimRng`]) that can be split per component, the sampling
+//! distributions service times and message sizes draw from ([`dist`]), an
+//! HDR-style latency histogram ([`Histogram`]) matching the measurement
+//! fidelity of `wrk2`, and the EWMA the load balancer keeps per endpoint
 //! ([`stats`]).
 //!
 //! Everything here is pure: no wall-clock reads, no global state, no
@@ -42,5 +43,5 @@ pub use event::EventQueue;
 pub use fxmap::FxHashMap;
 pub use hist::Histogram;
 pub use rng::SimRng;
-pub use stats::{Ewma, Welford};
+pub use stats::Ewma;
 pub use time::{SimDuration, SimTime};

@@ -1,114 +1,9 @@
-//! Online statistics: Welford mean/variance, EWMA, rate meters.
+//! Online statistics: an exponentially weighted moving average.
 //!
-//! These are the building blocks for sidecar telemetry (per-upstream latency
-//! EWMAs drive the EWMA load-balancing policy), link utilization accounting,
-//! and the experiment harness's summary tables.
+//! Sidecars keep one per upstream endpoint: the latency EWMAs drive the
+//! EWMA load-balancing policy.
 
-use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-
-/// Numerically stable online mean/variance (Welford's algorithm).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct Welford {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Welford {
-    /// New empty accumulator.
-    pub fn new() -> Self {
-        Welford {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Add one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Mean (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0 if fewer than 2 observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Sample standard deviation (0 if fewer than 2 observations).
-    pub fn std_dev(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            (self.m2 / (self.n - 1) as f64).sqrt()
-        }
-    }
-
-    /// Smallest observation (0 if empty).
-    pub fn min(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest observation (0 if empty).
-    pub fn max(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
-    /// Merge another accumulator (Chan et al. parallel combination).
-    pub fn merge(&mut self, other: &Welford) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n = (self.n + other.n) as f64;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.n as f64 / n;
-        let m2 = self.m2 + other.m2 + delta * delta * self.n as f64 * other.n as f64 / n;
-        self.n += other.n;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
 
 /// Exponentially weighted moving average with a configurable smoothing
 /// factor `alpha` (weight of the newest sample).
@@ -149,119 +44,9 @@ impl Ewma {
     }
 }
 
-/// Windowed byte/event rate meter: counts within fixed windows and reports
-/// the previous complete window's rate. Used for link-utilization telemetry.
-#[derive(Clone, Debug)]
-pub struct RateMeter {
-    window: SimDuration,
-    window_start: SimTime,
-    current: u64,
-    last_rate_per_sec: f64,
-    total: u64,
-}
-
-impl RateMeter {
-    /// Create with the given aggregation window.
-    pub fn new(window: SimDuration) -> Self {
-        assert!(window > SimDuration::ZERO, "zero-width window");
-        RateMeter {
-            window,
-            window_start: SimTime::ZERO,
-            current: 0,
-            last_rate_per_sec: 0.0,
-            total: 0,
-        }
-    }
-
-    /// Record `amount` units at time `now`, rolling windows forward as needed.
-    pub fn record(&mut self, now: SimTime, amount: u64) {
-        self.roll(now);
-        self.current += amount;
-        self.total += amount;
-    }
-
-    fn roll(&mut self, now: SimTime) {
-        while now >= self.window_start + self.window {
-            self.last_rate_per_sec = self.current as f64 / self.window.as_secs_f64();
-            self.current = 0;
-            self.window_start += self.window;
-        }
-    }
-
-    /// Rate (units/second) of the last *complete* window before `now`.
-    pub fn rate_per_sec(&mut self, now: SimTime) -> f64 {
-        self.roll(now);
-        self.last_rate_per_sec
-    }
-
-    /// Lifetime total.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-}
-
-/// Compute an exact quantile of a pre-sorted slice using the nearest-rank
-/// method; used by the harness when full sample vectors are available.
-pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let q = q.clamp(0.0, 1.0);
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn welford_matches_naive() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut w = Welford::new();
-        for &x in &xs {
-            w.push(x);
-        }
-        assert_eq!(w.count(), 8);
-        assert!((w.mean() - 5.0).abs() < 1e-12);
-        assert!((w.variance() - 4.0).abs() < 1e-12);
-        assert_eq!(w.min(), 2.0);
-        assert_eq!(w.max(), 9.0);
-    }
-
-    #[test]
-    fn welford_empty_is_zero() {
-        let w = Welford::new();
-        assert_eq!(w.mean(), 0.0);
-        assert_eq!(w.variance(), 0.0);
-        assert_eq!(w.std_dev(), 0.0);
-        assert_eq!(w.min(), 0.0);
-        assert_eq!(w.max(), 0.0);
-    }
-
-    #[test]
-    fn welford_merge_matches_sequential() {
-        let mut a = Welford::new();
-        let mut b = Welford::new();
-        let mut all = Welford::new();
-        for i in 0..1000 {
-            let x = (i as f64).sin() * 10.0 + 50.0;
-            if i % 3 == 0 {
-                a.push(x)
-            } else {
-                b.push(x)
-            }
-            all.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
-        // Merging into empty copies.
-        let mut e = Welford::new();
-        e.merge(&all);
-        assert!((e.mean() - all.mean()).abs() < 1e-12);
-    }
 
     #[test]
     fn ewma_converges_to_constant() {
@@ -285,36 +70,5 @@ mod tests {
     #[should_panic(expected = "alpha")]
     fn ewma_rejects_bad_alpha() {
         let _ = Ewma::new(0.0);
-    }
-
-    #[test]
-    fn rate_meter_reports_previous_window() {
-        let mut m = RateMeter::new(SimDuration::from_secs(1));
-        // 1000 units in the first second.
-        m.record(SimTime::from_millis(100), 400);
-        m.record(SimTime::from_millis(900), 600);
-        // Still inside window 0: last complete window is empty.
-        assert_eq!(m.rate_per_sec(SimTime::from_millis(950)), 0.0);
-        // After rolling into window 1, window 0's rate is visible.
-        assert_eq!(m.rate_per_sec(SimTime::from_millis(1500)), 1000.0);
-        assert_eq!(m.total(), 1000);
-    }
-
-    #[test]
-    fn rate_meter_skips_idle_windows() {
-        let mut m = RateMeter::new(SimDuration::from_secs(1));
-        m.record(SimTime::from_millis(100), 500);
-        // Jump 10 windows ahead: intermediate empty windows zero the rate.
-        assert_eq!(m.rate_per_sec(SimTime::from_secs(10)), 0.0);
-    }
-
-    #[test]
-    fn quantile_sorted_nearest_rank() {
-        let xs = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0];
-        assert_eq!(quantile_sorted(&xs, 0.5), 5.0);
-        assert_eq!(quantile_sorted(&xs, 0.0), 1.0);
-        assert_eq!(quantile_sorted(&xs, 1.0), 10.0);
-        assert_eq!(quantile_sorted(&xs, 0.99), 10.0);
-        assert_eq!(quantile_sorted(&[], 0.5), 0.0);
     }
 }

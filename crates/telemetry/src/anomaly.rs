@@ -9,12 +9,12 @@
 //! excursion, not one per interval):
 //!
 //! * **latency change-points** — a class's per-interval p99 jumps above
-//!   `latency_factor ×` (or drops below `1/latency_factor ×`) the median
+//!   `LATENCY_FACTOR ×` (or drops below `1/LATENCY_FACTOR ×`) the median
 //!   of its trailing baseline window;
 //! * **error-rate bursts** — a class's per-interval error rate crosses
-//!   `error_rate` while its baseline rate was quiet;
+//!   `ERROR_RATE` while its baseline rate was quiet;
 //! * **queue-depth growth** — a link or compute queue gauge grows
-//!   monotonically across the trailing window to `queue_factor ×` its
+//!   monotonically across the trailing window to `QUEUE_FACTOR ×` its
 //!   starting depth.
 
 use crate::series::{IntervalStats, LatencySeries, SeriesPoint};
@@ -82,48 +82,30 @@ pub struct AnomalyEvent {
     pub detail: String,
 }
 
-/// Detector thresholds. Deliberately conservative defaults: the
-/// acceptance bar is zero false positives on a steady baseline, with
-/// real shifts (the A6 flip is > 4×) still flagged within an interval
-/// or two of the baseline window filling.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct AnomalyConfig {
-    /// Trailing closed intervals forming the baseline (median).
-    pub baseline_intervals: usize,
-    /// Minimum samples in an interval for latency detection.
-    pub min_count: u64,
-    /// Shift factor: p99 above `factor × baseline` (or below
-    /// `baseline / factor`) is a change-point.
-    pub latency_factor: f64,
-    /// Absolute guard: the shift must also exceed this many ms.
-    pub min_shift_ms: f64,
-    /// Error-rate threshold for a burst.
-    pub error_rate: f64,
-    /// Minimum absolute errors in the interval for a burst.
-    pub min_errors: u64,
-    /// Trailing gauge points forming the queue-growth window.
-    pub queue_window: usize,
-    /// Growth factor across the window that flags a queue.
-    pub queue_factor: f64,
-    /// Absolute guard: the final depth must exceed this.
-    pub min_queue: f64,
-}
+// Detector thresholds. Deliberately conservative: the acceptance bar is
+// zero false positives on a steady baseline, with real shifts (the A6 flip
+// is > 4×) still flagged within an interval or two of the baseline window
+// filling.
 
-impl Default for AnomalyConfig {
-    fn default() -> Self {
-        AnomalyConfig {
-            baseline_intervals: 8,
-            min_count: 5,
-            latency_factor: 3.0,
-            min_shift_ms: 20.0,
-            error_rate: 0.2,
-            min_errors: 5,
-            queue_window: 5,
-            queue_factor: 4.0,
-            min_queue: 16.0,
-        }
-    }
-}
+/// Trailing closed intervals forming the baseline (median).
+const BASELINE_INTERVALS: usize = 8;
+/// Minimum samples in an interval for latency detection.
+const MIN_COUNT: u64 = 5;
+/// Shift factor: p99 above `LATENCY_FACTOR × baseline` (or below
+/// `baseline / LATENCY_FACTOR`) is a change-point.
+const LATENCY_FACTOR: f64 = 3.0;
+/// Absolute guard: the shift must also exceed this many ms.
+const MIN_SHIFT_MS: f64 = 20.0;
+/// Error-rate threshold for a burst.
+const ERROR_RATE: f64 = 0.2;
+/// Minimum absolute errors in the interval for a burst.
+const MIN_ERRORS: u64 = 5;
+/// Trailing gauge points forming the queue-growth window.
+const QUEUE_WINDOW: usize = 5;
+/// Growth factor across the window that flags a queue.
+const QUEUE_FACTOR: f64 = 4.0;
+/// Absolute guard: the final depth must exceed this.
+const MIN_QUEUE: f64 = 16.0;
 
 /// Per-class detector state.
 #[derive(Default)]
@@ -142,8 +124,8 @@ struct ClassState {
 
 /// The online detector. Feed it each class's newly closed intervals and
 /// the queue gauges every scrape; it appends events to the output.
+#[derive(Default)]
 pub struct AnomalyDetector {
-    cfg: AnomalyConfig,
     classes: BTreeMap<String, ClassState>,
     /// (metric, instance) → queue currently flagged as growing.
     queues: BTreeMap<(String, String), bool>,
@@ -158,18 +140,9 @@ fn median(window: &VecDeque<f64>) -> f64 {
 }
 
 impl AnomalyDetector {
-    /// A detector with the given thresholds.
-    pub fn new(cfg: AnomalyConfig) -> AnomalyDetector {
-        AnomalyDetector {
-            cfg,
-            classes: BTreeMap::new(),
-            queues: BTreeMap::new(),
-        }
-    }
-
-    /// The thresholds in force.
-    pub fn config(&self) -> &AnomalyConfig {
-        &self.cfg
+    /// A detector with no state yet.
+    pub fn new() -> AnomalyDetector {
+        AnomalyDetector::default()
     }
 
     /// Scan a class's newly closed fine intervals (everything closed
@@ -186,26 +159,25 @@ impl AnomalyDetector {
             .map(IntervalStats::from_interval)
             .collect();
         for stats in &fresh {
-            Self::scan_interval(&self.cfg, state, class, stats, out);
+            Self::scan_interval(state, class, stats, out);
         }
     }
 
     /// One closed interval against the class's trailing baseline.
     fn scan_interval(
-        cfg: &AnomalyConfig,
         state: &mut ClassState,
         class: &str,
         stats: &IntervalStats,
         out: &mut Vec<AnomalyEvent>,
     ) {
         // --- latency change-point ---
-        if stats.count >= cfg.min_count {
-            if state.p99_hist.len() >= cfg.baseline_intervals {
+        if stats.count >= MIN_COUNT {
+            if state.p99_hist.len() >= BASELINE_INTERVALS {
                 let baseline = median(&state.p99_hist);
-                let up = stats.p99_ms > baseline * cfg.latency_factor
-                    && stats.p99_ms - baseline > cfg.min_shift_ms;
-                let down = stats.p99_ms < baseline / cfg.latency_factor
-                    && baseline - stats.p99_ms > cfg.min_shift_ms;
+                let up = stats.p99_ms > baseline * LATENCY_FACTOR
+                    && stats.p99_ms - baseline > MIN_SHIFT_MS;
+                let down = stats.p99_ms < baseline / LATENCY_FACTOR
+                    && baseline - stats.p99_ms > MIN_SHIFT_MS;
                 let dir = if up {
                     1
                 } else if down {
@@ -235,7 +207,7 @@ impl AnomalyDetector {
                 }
             }
             state.p99_hist.push_back(stats.p99_ms);
-            while state.p99_hist.len() > cfg.baseline_intervals {
+            while state.p99_hist.len() > BASELINE_INTERVALS {
                 state.p99_hist.pop_front();
             }
         }
@@ -244,11 +216,11 @@ impl AnomalyDetector {
         let seen = stats.count + stats.errors;
         if seen > 0 {
             let rate = stats.errors as f64 / seen as f64;
-            if state.err_hist.len() >= cfg.baseline_intervals {
+            if state.err_hist.len() >= BASELINE_INTERVALS {
                 let base_rate = median(&state.err_hist);
-                let burst = stats.errors >= cfg.min_errors
-                    && rate >= cfg.error_rate
-                    && base_rate < cfg.error_rate / 2.0;
+                let burst = stats.errors >= MIN_ERRORS
+                    && rate >= ERROR_RATE
+                    && base_rate < ERROR_RATE / 2.0;
                 if burst && !state.bursting {
                     state.bursting = true;
                     out.push(AnomalyEvent {
@@ -266,12 +238,12 @@ impl AnomalyDetector {
                             base_rate * 100.0
                         ),
                     });
-                } else if rate < cfg.error_rate / 2.0 {
+                } else if rate < ERROR_RATE / 2.0 {
                     state.bursting = false;
                 }
             }
             state.err_hist.push_back(rate);
-            while state.err_hist.len() > cfg.baseline_intervals {
+            while state.err_hist.len() > BASELINE_INTERVALS {
                 state.err_hist.pop_front();
             }
         }
@@ -285,16 +257,14 @@ impl AnomalyDetector {
         points: &[SeriesPoint],
         out: &mut Vec<AnomalyEvent>,
     ) {
-        let cfg = &self.cfg;
-        if points.len() < cfg.queue_window {
+        if points.len() < QUEUE_WINDOW {
             return;
         }
-        let window = &points[points.len() - cfg.queue_window..];
+        let window = &points[points.len() - QUEUE_WINDOW..];
         let first = window[0].value;
-        let last = window[cfg.queue_window - 1].value;
+        let last = window[QUEUE_WINDOW - 1].value;
         let monotone = window.windows(2).all(|w| w[1].value >= w[0].value);
-        let growing =
-            monotone && last >= cfg.min_queue && last >= first * cfg.queue_factor && last > first;
+        let growing = monotone && last >= MIN_QUEUE && last >= first * QUEUE_FACTOR && last > first;
         let flagged = self
             .queues
             .entry((metric.to_string(), instance.to_string()))
@@ -302,7 +272,7 @@ impl AnomalyDetector {
         if growing && !*flagged {
             *flagged = true;
             out.push(AnomalyEvent {
-                at_s: window[cfg.queue_window - 1].t_s,
+                at_s: window[QUEUE_WINDOW - 1].t_s,
                 kind: AnomalyKind::QueueGrowth,
                 subject: format!("{metric}:{instance}"),
                 value: last,
@@ -310,7 +280,7 @@ impl AnomalyDetector {
                 direction: 1,
                 detail: format!(
                     "depth {first:.0} -> {last:.0} over {} scrapes",
-                    cfg.queue_window
+                    QUEUE_WINDOW
                 ),
             });
         } else if !monotone || last < first {
@@ -326,7 +296,7 @@ mod tests {
 
     fn run_series(latencies_ms: &[u64]) -> Vec<AnomalyEvent> {
         let mut s = LatencySeries::new(SimDuration::from_millis(100));
-        let mut det = AnomalyDetector::new(AnomalyConfig::default());
+        let mut det = AnomalyDetector::new();
         let mut out = Vec::new();
         for (i, &ms) in latencies_ms.iter().enumerate() {
             // 10 samples per interval, all at the given latency.
@@ -371,7 +341,7 @@ mod tests {
     #[test]
     fn error_burst_flags_once() {
         let mut s = LatencySeries::new(SimDuration::from_millis(100));
-        let mut det = AnomalyDetector::new(AnomalyConfig::default());
+        let mut det = AnomalyDetector::new();
         let mut out = Vec::new();
         for i in 0..30u64 {
             for k in 0..10u64 {
@@ -396,7 +366,7 @@ mod tests {
 
     #[test]
     fn queue_growth_flags_sustained_monotone_rise() {
-        let mut det = AnomalyDetector::new(AnomalyConfig::default());
+        let mut det = AnomalyDetector::new();
         let mut out = Vec::new();
         let mk = |vals: &[f64]| -> Vec<SeriesPoint> {
             vals.iter()

@@ -23,7 +23,7 @@ pub mod sketch;
 pub mod slo;
 
 pub use analytics::{CriticalPathStat, ServiceSelfTime, TraceAnalytics};
-pub use anomaly::{AnomalyConfig, AnomalyDetector, AnomalyEvent, AnomalyKind};
+pub use anomaly::{AnomalyDetector, AnomalyEvent, AnomalyKind};
 pub use export::{PromSample, ZipkinSpan};
 pub use rollup::{PodStats, RollupRow};
 pub use scrape::{ClassSeries, GaugeKind, TelemetryConfig, TelemetryHub, TelemetrySummary};

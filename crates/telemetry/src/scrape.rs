@@ -11,7 +11,7 @@
 //! coarser sketches (see [`RetentionPolicy`]), so hub memory is
 //! O(classes × sketch size), not O(run length).
 
-use crate::anomaly::{AnomalyConfig, AnomalyDetector, AnomalyEvent};
+use crate::anomaly::{AnomalyDetector, AnomalyEvent};
 use crate::rollup::{build_rollup, PodStats, RollupRow};
 use crate::series::{GaugeSeries, IntervalStats, LatencySeries, RetentionPolicy};
 use crate::sketch::QuantileSketch;
@@ -113,8 +113,6 @@ pub struct TelemetryConfig {
     pub targets: Vec<SloTarget>,
     /// Series retention / roll-up policy.
     pub retention: RetentionPolicy,
-    /// Online anomaly-detector thresholds.
-    pub anomaly: AnomalyConfig,
 }
 
 impl Default for TelemetryConfig {
@@ -125,7 +123,6 @@ impl Default for TelemetryConfig {
             rule: BurnRateRule::default(),
             targets: Vec::new(),
             retention: RetentionPolicy::default(),
-            anomaly: AnomalyConfig::default(),
         }
     }
 }
@@ -203,7 +200,7 @@ impl TelemetryHub {
     /// Hub with the given configuration.
     pub fn new(config: TelemetryConfig) -> TelemetryHub {
         let slo = SloMonitor::new(config.rule.clone(), config.targets.clone());
-        let detector = AnomalyDetector::new(config.anomaly.clone());
+        let detector = AnomalyDetector::new();
         TelemetryHub {
             config,
             classes: BTreeMap::new(),

@@ -5,10 +5,10 @@
 //! reliable byte stream with cumulative acks, fast retransmit (3 dup-acks),
 //! RTO with exponential backoff, and a pluggable congestion controller.
 //!
-//! Messages are multiplexed onto the stream either FIFO (like HTTP/1.1
-//! pipelining) or round-robin ([`MuxPolicy::RoundRobin`], in the spirit of
-//! Structured Streams \[13]/HTTP2, which §3.6 suggests for avoiding
-//! head-of-line blocking between requests sharing a connection).
+//! Messages are multiplexed onto the stream round-robin, segment by
+//! segment, in the spirit of Structured Streams \[13]/HTTP2, which §3.6
+//! suggests for avoiding head-of-line blocking between requests sharing a
+//! connection: a small message is not blocked behind a large one.
 //!
 //! Like everything in the simulation, a `Conn` is a passive state machine:
 //! the driver feeds it packets and timer fires, and it answers with packets
@@ -31,17 +31,6 @@ use meshlayer_simcore::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
-/// How concurrent messages share the byte stream.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum MuxPolicy {
-    /// Serialize messages strictly in submission order.
-    #[default]
-    Fifo,
-    /// Interleave active messages segment-by-segment (structured-streams
-    /// style), so a small message is not blocked behind a large one.
-    RoundRobin,
-}
-
 /// Static configuration of a connection endpoint.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ConnConfig {
@@ -56,8 +45,6 @@ pub struct ConnConfig {
     pub dscp: u8,
     /// Congestion-control algorithm.
     pub cc: CcAlgo,
-    /// Message multiplexing policy.
-    pub mux: MuxPolicy,
     /// Source pod IP stamped on outgoing packets.
     pub src_ip: u32,
     /// Destination pod IP stamped on outgoing packets.
@@ -71,7 +58,6 @@ impl Default for ConnConfig {
             rwnd: 1_500_000,
             dscp: 0,
             cc: CcAlgo::Cubic,
-            mux: MuxPolicy::Fifo,
             src_ip: 0,
             dst_ip: 0,
         }
@@ -473,23 +459,18 @@ impl Conn {
         out.timer = self.timer_out();
     }
 
-    /// Choose the message to segment next and how many bytes to take,
-    /// honouring the mux policy. Returns `None` if nothing is pending.
+    /// Choose the message to segment next (round-robin over the pending
+    /// messages) and how many bytes to take. Returns `None` if nothing is
+    /// pending.
     fn pick_msg(&mut self, budget: u64) -> Option<(usize, u64)> {
         if self.out_msgs.is_empty() || budget == 0 {
             return None;
         }
-        let idx = match self.cfg.mux {
-            MuxPolicy::Fifo => 0,
-            MuxPolicy::RoundRobin => {
-                if self.rr_cursor >= self.out_msgs.len() {
-                    self.rr_cursor = 0;
-                }
-                let idx = self.rr_cursor;
-                self.rr_cursor = (self.rr_cursor + 1) % self.out_msgs.len();
-                idx
-            }
-        };
+        if self.rr_cursor >= self.out_msgs.len() {
+            self.rr_cursor = 0;
+        }
+        let idx = self.rr_cursor;
+        self.rr_cursor = (self.rr_cursor + 1) % self.out_msgs.len();
         let m = &self.out_msgs[idx];
         let remaining = m.len - m.segmented;
         let take = remaining.min(self.cfg.mss).min(budget.max(1));
@@ -649,10 +630,9 @@ mod tests {
     use super::*;
     use meshlayer_netsim::NodeId;
 
-    fn pair(cc: CcAlgo, mux: MuxPolicy) -> (Conn, Conn) {
+    fn pair(cc: CcAlgo) -> (Conn, Conn) {
         let cfg = ConnConfig {
             cc,
-            mux,
             ..ConnConfig::default()
         };
         let a = Conn::new(7, 0, NodeId(0), NodeId(1), cfg.clone());
@@ -697,7 +677,7 @@ mod tests {
 
     #[test]
     fn small_message_single_segment() {
-        let (mut a, mut b) = pair(CcAlgo::Reno, MuxPolicy::Fifo);
+        let (mut a, mut b) = pair(CcAlgo::Reno);
         let out = a.send_message(1, 500, SimTime::ZERO);
         assert_eq!(out.packets.len(), 1);
         assert_eq!(out.packets[0].payload, 500);
@@ -710,7 +690,7 @@ mod tests {
 
     #[test]
     fn large_message_spans_segments_and_windows() {
-        let (mut a, mut b) = pair(CcAlgo::Reno, MuxPolicy::Fifo);
+        let (mut a, mut b) = pair(CcAlgo::Reno);
         let len = 1_000_000u64; // 1 MB > initial window
         let out = a.send_message(1, len, SimTime::ZERO);
         // Only the initial window's worth goes out immediately.
@@ -722,7 +702,7 @@ mod tests {
 
     #[test]
     fn bidirectional_messages() {
-        let (mut a, mut b) = pair(CcAlgo::Cubic, MuxPolicy::Fifo);
+        let (mut a, mut b) = pair(CcAlgo::Cubic);
         let out_a = a.send_message(1, 10_000, SimTime::ZERO);
         let out_b = b.send_message(2, 20_000, SimTime::ZERO);
         // Feed b's initial packets into the exchange by merging manually.
@@ -769,19 +749,8 @@ mod tests {
     }
 
     #[test]
-    fn fifo_mux_delivers_in_order() {
-        let (mut a, mut b) = pair(CcAlgo::Reno, MuxPolicy::Fifo);
-        let mut pkts = a.send_message(1, 30_000, SimTime::ZERO).packets;
-        pkts.extend(a.send_message(2, 500, SimTime::ZERO).packets);
-        let (_, del_b) = run_lossless(&mut a, &mut b, pkts, SimTime::ZERO);
-        assert_eq!(del_b.len(), 2);
-        assert_eq!(del_b[0].msg, 1, "FIFO: large first message completes first");
-        assert_eq!(del_b[1].msg, 2);
-    }
-
-    #[test]
     fn round_robin_mux_lets_small_message_overtake() {
-        let (mut a, mut b) = pair(CcAlgo::Reno, MuxPolicy::RoundRobin);
+        let (mut a, mut b) = pair(CcAlgo::Reno);
         // Submit both before any packet exchange; RR interleaves them.
         let mut pkts = a.send_message(1, 200_000, SimTime::ZERO).packets;
         pkts.extend(a.send_message(2, 500, SimTime::ZERO).packets);
@@ -792,7 +761,7 @@ mod tests {
 
     #[test]
     fn lost_packet_recovers_via_fast_retransmit() {
-        let (mut a, mut b) = pair(CcAlgo::Reno, MuxPolicy::Fifo);
+        let (mut a, mut b) = pair(CcAlgo::Reno);
         let mut out = a.send_message(1, 10 * 1448, SimTime::ZERO).packets;
         assert_eq!(out.len(), 10);
         // Drop the first data packet.
@@ -826,7 +795,7 @@ mod tests {
 
     #[test]
     fn rto_fires_and_retransmits() {
-        let (mut a, _b) = pair(CcAlgo::Reno, MuxPolicy::Fifo);
+        let (mut a, _b) = pair(CcAlgo::Reno);
         let out = a.send_message(1, 1000, SimTime::ZERO);
         let (at, gen) = out.timer.expect("timer armed");
         // Nothing acked; fire the timer.
@@ -841,7 +810,7 @@ mod tests {
 
     #[test]
     fn stale_timer_generation_is_ignored() {
-        let (mut a, mut b) = pair(CcAlgo::Reno, MuxPolicy::Fifo);
+        let (mut a, mut b) = pair(CcAlgo::Reno);
         let out = a.send_message(1, 1000, SimTime::ZERO);
         let (at, gen) = out.timer.unwrap();
         // Ack arrives before the timer fires.
@@ -855,7 +824,7 @@ mod tests {
 
     #[test]
     fn duplicate_data_not_double_credited() {
-        let (mut a, mut b) = pair(CcAlgo::Reno, MuxPolicy::Fifo);
+        let (mut a, mut b) = pair(CcAlgo::Reno);
         let out = a.send_message(1, 1000, SimTime::ZERO);
         let p = &out.packets[0];
         let o1 = b.on_packet(p, SimTime::from_micros(50));
@@ -868,7 +837,7 @@ mod tests {
 
     #[test]
     fn out_of_order_arrival_reassembles() {
-        let (mut a, mut b) = pair(CcAlgo::Reno, MuxPolicy::Fifo);
+        let (mut a, mut b) = pair(CcAlgo::Reno);
         let pkts = a.send_message(1, 3 * 1448, SimTime::ZERO).packets;
         assert_eq!(pkts.len(), 3);
         // Deliver in reverse order.
@@ -882,7 +851,7 @@ mod tests {
 
     #[test]
     fn insert_range_coalesces_and_credits() {
-        let (_, mut b) = pair(CcAlgo::Reno, MuxPolicy::Fifo);
+        let (_, mut b) = pair(CcAlgo::Reno);
         assert_eq!(b.insert_range(0, 100), 100);
         assert_eq!(b.insert_range(50, 150), 50); // overlap
         assert_eq!(b.insert_range(150, 200), 50); // adjacent
@@ -906,7 +875,7 @@ mod tests {
         fn insert_range_matches_a_byte_set(
             ranges in proptest::collection::vec((0u64..300, 0u64..40), 1..60),
         ) {
-            let (_, mut b) = pair(CcAlgo::Reno, MuxPolicy::Fifo);
+            let (_, mut b) = pair(CcAlgo::Reno);
             let mut have = [false; 340];
             for (start, len) in ranges {
                 let span = start as usize..(start + len) as usize;
@@ -958,7 +927,7 @@ mod tests {
 
     #[test]
     fn outstanding_tracks_queue_and_flight() {
-        let (mut a, _) = pair(CcAlgo::Reno, MuxPolicy::Fifo);
+        let (mut a, _) = pair(CcAlgo::Reno);
         a.send_message(1, 100_000, SimTime::ZERO);
         assert_eq!(a.outstanding(), 100_000);
     }

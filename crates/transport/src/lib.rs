@@ -7,13 +7,12 @@
 //! and §4.2(b) specifically proposes scavenger transports for
 //! latency-insensitive requests. This crate provides:
 //!
-//! * [`Conn`] — a reliable, message-multiplexed connection endpoint with
+//! * [`Conn`] — a reliable connection endpoint that interleaves its
+//!   messages round-robin (structured-streams style, §3.6), with
 //!   cumulative acks, NewReno-style loss recovery and RTO backoff;
 //! * [`cc`] — pluggable congestion control: [`cc::Reno`], [`cc::CubicLite`],
 //!   and the scavengers [`cc::Ledbat`] and [`cc::TcpLp`];
 //! * [`rtt`] — Jacobson/Karels RTT estimation with datacenter RTO clamps;
-//! * [`MuxPolicy`] — FIFO or structured-streams-style round-robin message
-//!   multiplexing over a single connection (§3.6);
 //! * [`TimerSlot`] — the driver's side of the retransmission timer: one
 //!   live event per endpoint however often the timer restarts.
 
@@ -26,6 +25,6 @@ pub mod rtt;
 pub mod timer;
 
 pub use cc::{CcAlgo, CongestionControl, INIT_CWND, MSS};
-pub use conn::{Conn, ConnConfig, ConnOutput, ConnStats, Delivered, MuxPolicy};
+pub use conn::{Conn, ConnConfig, ConnOutput, ConnStats, Delivered};
 pub use rtt::RttEstimator;
 pub use timer::{TimerPop, TimerSlot};

@@ -1,13 +1,11 @@
 //! Property-based transport tests: reliable delivery under arbitrary
-//! loss/reorder patterns, for every congestion controller and mux policy,
-//! and timer-driver equivalence: one live timer event per endpoint fires
+//! loss/reorder patterns, for every congestion controller, and
+//! timer-driver equivalence: one live timer event per endpoint fires
 //! `on_timer` exactly when an event per timer restart does.
 
 use meshlayer_netsim::Packet;
 use meshlayer_simcore::{SimDuration, SimTime};
-use meshlayer_transport::{
-    CcAlgo, Conn, ConnConfig, ConnOutput, Delivered, MuxPolicy, TimerPop, TimerSlot,
-};
+use meshlayer_transport::{CcAlgo, Conn, ConnConfig, ConnOutput, Delivered, TimerPop, TimerSlot};
 use proptest::prelude::*;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -171,12 +169,10 @@ proptest! {
         lens in prop::collection::vec(1u64..60_000, 1..8),
         drops in prop::collection::vec(any::<bool>(), 0..64),
         algo_idx in 0usize..4,
-        rr in any::<bool>(),
     ) {
         let algo = [CcAlgo::Reno, CcAlgo::Cubic, CcAlgo::Ledbat, CcAlgo::TcpLp][algo_idx];
         let cfg = ConnConfig {
             cc: algo,
-            mux: if rr { MuxPolicy::RoundRobin } else { MuxPolicy::Fifo },
             ..ConnConfig::default()
         };
         let mut a = Conn::new(9, 0, meshlayer_netsim::NodeId(0), meshlayer_netsim::NodeId(1), cfg.clone());
@@ -200,11 +196,9 @@ proptest! {
         lens in prop::collection::vec(1u64..60_000, 1..8),
         drops in prop::collection::vec(any::<bool>(), 0..64),
         algo_idx in 0usize..4,
-        rr in any::<bool>(),
     ) {
         let cfg = ConnConfig {
             cc: [CcAlgo::Reno, CcAlgo::Cubic, CcAlgo::Ledbat, CcAlgo::TcpLp][algo_idx],
-            mux: if rr { MuxPolicy::RoundRobin } else { MuxPolicy::Fifo },
             ..ConnConfig::default()
         };
         let (mut a, mut b) = (Twin::new(9, 0, &cfg), Twin::new(9, 1, &cfg));

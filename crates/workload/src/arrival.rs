@@ -1,65 +1,26 @@
-//! Inter-arrival processes.
+//! The inter-arrival process.
 
 use meshlayer_simcore::{SimDuration, SimRng};
 use serde::{Deserialize, Serialize};
 
-/// An arrival process parameterised by mean rate (requests/second).
+/// wrk2's arrival process, the paper's choice ("uniformly random
+/// inter-arrival times", §4.3): each gap is uniform in `[0, 2/rps)`, so
+/// the mean gap is `1/rps`.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub enum Arrival {
-    /// Uniformly random inter-arrival in `[0, 2/rate)` — mean `1/rate`.
-    /// This is the paper's choice ("uniformly random inter-arrival times").
-    UniformRandom {
-        /// Mean arrival rate, requests/second.
-        rps: f64,
-    },
-    /// Poisson arrivals (exponential inter-arrival with mean `1/rate`).
-    Poisson {
-        /// Mean arrival rate, requests/second.
-        rps: f64,
-    },
-    /// Fixed inter-arrival of exactly `1/rate`.
-    Deterministic {
-        /// Arrival rate, requests/second.
-        rps: f64,
-    },
+pub struct Arrival {
+    /// Mean arrival rate, requests/second.
+    pub rps: f64,
 }
 
 impl Arrival {
-    /// The mean rate in requests/second.
-    pub fn rps(&self) -> f64 {
-        match self {
-            Arrival::UniformRandom { rps }
-            | Arrival::Poisson { rps }
-            | Arrival::Deterministic { rps } => *rps,
-        }
-    }
-
-    /// Same process at a different rate.
-    pub fn with_rps(&self, rps: f64) -> Arrival {
-        match self {
-            Arrival::UniformRandom { .. } => Arrival::UniformRandom { rps },
-            Arrival::Poisson { .. } => Arrival::Poisson { rps },
-            Arrival::Deterministic { .. } => Arrival::Deterministic { rps },
-        }
-    }
-
     /// Draw the next inter-arrival gap.
     ///
     /// # Panics
     /// Panics if the rate is not positive.
     pub fn next_gap(&self, rng: &mut SimRng) -> SimDuration {
-        let rps = self.rps();
-        assert!(rps > 0.0, "non-positive arrival rate");
-        let mean = 1.0 / rps;
-        let secs = match self {
-            Arrival::UniformRandom { .. } => rng.f64() * 2.0 * mean,
-            Arrival::Poisson { .. } => {
-                let u = (1.0 - rng.f64()).max(f64::MIN_POSITIVE);
-                -mean * u.ln()
-            }
-            Arrival::Deterministic { .. } => mean,
-        };
-        SimDuration::from_secs_f64(secs)
+        assert!(self.rps > 0.0, "non-positive arrival rate");
+        let mean = 1.0 / self.rps;
+        SimDuration::from_secs_f64(rng.f64() * 2.0 * mean)
     }
 }
 
@@ -67,24 +28,21 @@ impl Arrival {
 mod tests {
     use super::*;
 
-    fn mean_gap(a: Arrival, n: usize) -> f64 {
-        let mut rng = SimRng::new(1);
-        (0..n)
-            .map(|_| a.next_gap(&mut rng).as_secs_f64())
-            .sum::<f64>()
-            / n as f64
-    }
-
     #[test]
     fn uniform_mean_matches_rate() {
-        let a = Arrival::UniformRandom { rps: 50.0 };
-        let m = mean_gap(a, 100_000);
+        let a = Arrival { rps: 50.0 };
+        let mut rng = SimRng::new(1);
+        let n = 100_000;
+        let m = (0..n)
+            .map(|_| a.next_gap(&mut rng).as_secs_f64())
+            .sum::<f64>()
+            / n as f64;
         assert!((m - 0.02).abs() < 0.001, "mean gap {m}");
     }
 
     #[test]
     fn uniform_bounded_by_twice_mean() {
-        let a = Arrival::UniformRandom { rps: 10.0 };
+        let a = Arrival { rps: 10.0 };
         let mut rng = SimRng::new(2);
         for _ in 0..10_000 {
             let g = a.next_gap(&mut rng).as_secs_f64();
@@ -93,30 +51,8 @@ mod tests {
     }
 
     #[test]
-    fn poisson_mean_matches_rate() {
-        let a = Arrival::Poisson { rps: 20.0 };
-        let m = mean_gap(a, 100_000);
-        assert!((m - 0.05).abs() < 0.002, "mean gap {m}");
-    }
-
-    #[test]
-    fn deterministic_is_exact() {
-        let a = Arrival::Deterministic { rps: 4.0 };
-        let mut rng = SimRng::new(3);
-        assert_eq!(a.next_gap(&mut rng), SimDuration::from_millis(250));
-        assert_eq!(a.next_gap(&mut rng), SimDuration::from_millis(250));
-    }
-
-    #[test]
-    fn with_rps_rescales() {
-        let a = Arrival::UniformRandom { rps: 10.0 }.with_rps(40.0);
-        assert_eq!(a.rps(), 40.0);
-        assert!(matches!(a, Arrival::UniformRandom { .. }));
-    }
-
-    #[test]
     #[should_panic(expected = "non-positive")]
     fn zero_rate_panics() {
-        Arrival::Poisson { rps: 0.0 }.next_gap(&mut SimRng::new(1));
+        Arrival { rps: 0.0 }.next_gap(&mut SimRng::new(1));
     }
 }

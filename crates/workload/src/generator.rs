@@ -52,11 +52,11 @@ pub struct WorkloadSpec {
 
 impl WorkloadSpec {
     /// A GET workload named `name` at `rps` requests/second (uniform
-    /// random arrivals, the paper's default).
+    /// random arrivals, as in the paper).
     pub fn get(name: impl Into<String>, path: impl Into<String>, rps: f64) -> WorkloadSpec {
         WorkloadSpec {
             name: name.into(),
-            arrival: Arrival::UniformRandom { rps },
+            arrival: Arrival { rps },
             authority: "frontend".into(),
             path: path.into(),
             method: Method::Get,
@@ -68,7 +68,7 @@ impl WorkloadSpec {
 
     /// Builder: change the arrival rate.
     pub fn with_rps(mut self, rps: f64) -> Self {
-        self.arrival = self.arrival.with_rps(rps);
+        self.arrival.rps = rps;
         self
     }
 
@@ -102,7 +102,7 @@ impl WorkloadSpec {
     /// presents to the fluid solver.
     pub fn offered_bps(&self, overhead_bytes: u64) -> u64 {
         let bytes = self.body.mean().max(0.0) + overhead_bytes as f64;
-        (self.arrival.rps() * bytes * 8.0).round() as u64
+        (self.arrival.rps * bytes * 8.0).round() as u64
     }
 }
 
@@ -256,7 +256,7 @@ mod tests {
     #[test]
     fn with_rps_builder_changes_rate_only() {
         let s = WorkloadSpec::get("w", "/p", 10.0).with_rps(40.0);
-        assert_eq!(s.arrival.rps(), 40.0);
+        assert_eq!(s.arrival.rps, 40.0);
         assert_eq!(s.path, "/p");
     }
 }

@@ -9,8 +9,7 @@
 //! ≈200× larger responses, both with uniformly random inter-arrival times
 //! at 10–50 RPS. This crate reproduces that methodology:
 //!
-//! * [`Arrival`] — inter-arrival processes (uniform random, Poisson,
-//!   deterministic);
+//! * [`Arrival`] — wrk2's uniformly random inter-arrival process;
 //! * [`WorkloadSpec`] / [`OpenLoopGen`] — constant-throughput open-loop
 //!   generators that never slow down when the system backs up (the wrk2
 //!   property);

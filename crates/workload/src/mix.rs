@@ -133,7 +133,7 @@ mod tests {
                 MixClass::new("c", "/op", 1.0),
             ],
         );
-        let rates: Vec<f64> = specs.iter().map(|s| s.arrival.rps()).collect();
+        let rates: Vec<f64> = specs.iter().map(|s| s.arrival.rps).collect();
         assert_eq!(rates, vec![70_000.0, 20_000.0, 10_000.0]);
         let total: f64 = rates.iter().sum();
         assert!((total - 100_000.0).abs() < 1e-6);
@@ -152,11 +152,11 @@ mod tests {
         let packet = scale_mix_bg(100_000.0, false);
         for (a, b) in specs.iter().zip(packet.iter()) {
             assert_eq!(a.name, b.name);
-            assert_eq!(a.arrival.rps(), b.arrival.rps());
+            assert_eq!(a.arrival.rps, b.arrival.rps);
             assert_eq!(a.body.mean(), b.body.mean());
             assert_eq!(b.granularity, Granularity::Packet);
         }
-        let total: f64 = specs.iter().map(|s| s.arrival.rps()).sum();
+        let total: f64 = specs.iter().map(|s| s.arrival.rps).sum();
         assert!((total - 100_000.0).abs() < 1e-6);
         // The offered byte rate the fluid solver will see: elephant
         // dominates (65k rps × ~8 KiB ≈ 4.3 Gbps).
@@ -189,7 +189,7 @@ mod tests {
     fn million_rps_open_loop_precision() {
         let mut total = 0.0f64;
         for (i, spec) in scale_mix(1_000_000.0).into_iter().enumerate() {
-            let offered = spec.arrival.rps();
+            let offered = spec.arrival.rps;
             let mut g = OpenLoopGen::new(spec, SimTime::ZERO, SimRng::new(42 + i as u64));
             let end = SimTime::from_secs(1);
             let mut prev = SimTime::ZERO;

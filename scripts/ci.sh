@@ -13,6 +13,12 @@ cargo fmt --all -- --check
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "== benchmark: compile check =="
+# benchmark/ is a workspace of its own, so clippy above never compiles
+# it: check it here, so that even a lint-only pass sees a public item
+# the benchmark imports going away. Its tests and a short run come last.
+cargo check --offline --all-targets --manifest-path benchmark/Cargo.toml
+
 if [[ "${MESHLAYER_CI_SKIP_TESTS:-0}" != "1" ]]; then
   echo "== cargo test =="
   # MESHLAYER_SECS caps the reproduction suite's per-scenario run

@@ -27,7 +27,6 @@
 //!   cross-layer prioritization, plus the end-to-end simulation world.
 //! * [`apps`] — reference applications (bookinfo/e-library, e-commerce).
 //! * [`workload`] — wrk2-style open-loop load generation and measurement.
-//! * [`realnet`] — a real loopback-TCP sidecar prototype (std::net).
 //!
 //! See `examples/quickstart.rs` for a five-minute tour, and
 //! `crates/bench` for the harnesses that regenerate every figure and table
@@ -41,7 +40,6 @@ pub use meshlayer_http as http;
 pub use meshlayer_mesh as mesh;
 pub use meshlayer_netsim as netsim;
 pub use meshlayer_prof as prof;
-pub use meshlayer_realnet as realnet;
 pub use meshlayer_simcore as simcore;
 pub use meshlayer_telemetry as telemetry;
 pub use meshlayer_transport as transport;

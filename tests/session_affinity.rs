@@ -1,6 +1,6 @@
-//! Session affinity through the full stack: the workload stamps a
-//! Zipf-distributed `x-session-key`, the sidecar's RingHash policy pins
-//! each key to a replica, and popular keys land consistently.
+//! Session affinity through the full stack: six workloads each stamp one
+//! random `x-session-key`, the sidecar's RingHash policy pins each key to
+//! a replica, and every request of a key lands on the same one.
 
 use meshlayer::cluster::{ServiceBehavior, ServiceSpec};
 use meshlayer::core::{SimSpec, Simulation};
