@@ -34,9 +34,9 @@ if [[ "${MESHLAYER_CI_SKIP_TESTS:-0}" != "1" ]]; then
   flight_out="$(mktemp -d)"
   trap 'rm -rf "$flight_out"' EXIT
   MESHLAYER_OUT="$flight_out" MESHLAYER_SECS=3 MESHLAYER_WARMUP=1 \
-    cargo run --offline --release -q -p meshlayer-bench --bin fig4_latency -- --record
+    cargo run --offline --release -q -p meshlayer-bench --bin experiment -- fig4_latency --record
   replay_log="$(MESHLAYER_OUT="$flight_out" MESHLAYER_SECS=3 MESHLAYER_WARMUP=1 \
-    cargo run --offline --release -q -p meshlayer-bench --bin fig4_latency -- --replay)"
+    cargo run --offline --release -q -p meshlayer-bench --bin experiment -- fig4_latency --replay)"
   echo "$replay_log"
   if ! grep -q "0 divergences" <<<"$replay_log"; then
     echo "ci: replay of the fig4 capture diverged" >&2
@@ -48,7 +48,7 @@ if [[ "${MESHLAYER_CI_SKIP_TESTS:-0}" != "1" ]]; then
   # the policy plane must converge a mid-run transition. Guards the
   # telemetry -> adaptation -> push/ack loop end to end.
   a6_log="$(MESHLAYER_OUT="$flight_out" MESHLAYER_SECS=6 MESHLAYER_WARMUP=1 \
-    cargo run --offline --release -q -p meshlayer-bench --bin a6_adaptation -- 80)"
+    cargo run --offline --release -q -p meshlayer-bench --bin experiment -- a6_adaptation 80)"
   echo "$a6_log"
   if ! grep -q "policy transition: v2" <<<"$a6_log"; then
     echo "ci: A6 observed no policy transition (adaptation loop broken)" >&2
@@ -65,9 +65,9 @@ if [[ "${MESHLAYER_CI_SKIP_TESTS:-0}" != "1" ]]; then
   # and the reset path of every layer (routes, compute, transport, host
   # TC, fabric priority). The capture is ~230 MB at 3 s.
   MESHLAYER_OUT="$flight_out" MESHLAYER_SECS=3 MESHLAYER_WARMUP=1 \
-    cargo run --offline --release -q -p meshlayer-bench --bin a6_adaptation -- --record
+    cargo run --offline --release -q -p meshlayer-bench --bin experiment -- a6_adaptation --record
   a6_replay="$(MESHLAYER_OUT="$flight_out" MESHLAYER_SECS=3 MESHLAYER_WARMUP=1 \
-    cargo run --offline --release -q -p meshlayer-bench --bin a6_adaptation -- --replay)"
+    cargo run --offline --release -q -p meshlayer-bench --bin experiment -- a6_adaptation --replay)"
   echo "$a6_replay"
   rm -f "$flight_out/a6_adaptation.flight"
   if ! grep -q "0 divergences" <<<"$a6_replay"; then
@@ -76,23 +76,23 @@ if [[ "${MESHLAYER_CI_SKIP_TESTS:-0}" != "1" ]]; then
   fi
 
   echo "== incident timeline: A6 causal-chain smoke (deterministic) =="
-  # meshctl incident drives the same closed loop with a flight capture
+  # `experiment incident` drives the same closed loop with a flight capture
   # attached and joins burn alerts, the controller decision, the policy
   # push, per-layer acks and the recovery anomaly into one ordered
   # timeline. The full causal chain must reconstruct, and the report must
   # be byte-identical across runs (it is a pure function of the
   # deterministic run). The capture is ~1 GiB at this load; delete it
   # between runs.
-  incident_a="$(MESHLAYER_OUT="$flight_out" \
-    cargo run --offline --release -q --bin meshctl -- incident 80 4)"
+  incident_a="$(MESHLAYER_OUT="$flight_out" MESHLAYER_SECS=4 \
+    cargo run --offline --release -q -p meshlayer-bench --bin experiment -- incident 80)"
   echo "$incident_a"
   rm -f "$flight_out/incident.flight"
   if ! grep -q "causal chain: burn-alert -> controller-decision -> policy-push -> acks([1-9][0-9]*) -> recovery \[complete\]" <<<"$incident_a"; then
     echo "ci: incident timeline did not reconstruct the full causal chain" >&2
     exit 1
   fi
-  incident_b="$(MESHLAYER_OUT="$flight_out" \
-    cargo run --offline --release -q --bin meshctl -- incident 80 4)"
+  incident_b="$(MESHLAYER_OUT="$flight_out" MESHLAYER_SECS=4 \
+    cargo run --offline --release -q -p meshlayer-bench --bin experiment -- incident 80)"
   rm -f "$flight_out/incident.flight"
   if [[ "$incident_a" != "$incident_b" ]]; then
     echo "ci: incident timeline is not deterministic across identical runs" >&2
@@ -106,28 +106,28 @@ if [[ "${MESHLAYER_CI_SKIP_TESTS:-0}" != "1" ]]; then
   # Faults are engine events, so the determinism bar is unchanged:
   # record, replay, zero divergence.
   MESHLAYER_OUT="$flight_out" MESHLAYER_SECS=3 MESHLAYER_WARMUP=1 \
-    cargo run --offline --release -q -p meshlayer-bench --bin a7_chaos -- --record
+    cargo run --offline --release -q -p meshlayer-bench --bin experiment -- a7_chaos --record
   chaos_replay="$(MESHLAYER_OUT="$flight_out" MESHLAYER_SECS=3 MESHLAYER_WARMUP=1 \
-    cargo run --offline --release -q -p meshlayer-bench --bin a7_chaos -- --replay)"
+    cargo run --offline --release -q -p meshlayer-bench --bin experiment -- a7_chaos --replay)"
   echo "$chaos_replay"
   rm -f "$flight_out/a7_chaos.flight"
   if ! grep -q "0 divergences" <<<"$chaos_replay"; then
     echo "ci: replay of the chaos capture diverged" >&2
     exit 1
   fi
-  # meshctl chaos is the incident loop plus injected faults: the causal
+  # `experiment chaos` is the incident loop plus injected faults: the causal
   # chain must now *begin at the injected fault*, and the report must
   # stay byte-identical across runs like the fault-free one above.
-  chaos_a="$(MESHLAYER_OUT="$flight_out" \
-    cargo run --offline --release -q --bin meshctl -- chaos 80 4)"
+  chaos_a="$(MESHLAYER_OUT="$flight_out" MESHLAYER_SECS=4 \
+    cargo run --offline --release -q -p meshlayer-bench --bin experiment -- chaos 80)"
   echo "$chaos_a"
   rm -f "$flight_out/chaos.flight"
   if ! grep -q "causal chain: fault-inject([1-9][0-9]*) ->" <<<"$chaos_a"; then
     echo "ci: chaos incident chain does not begin at the injected fault" >&2
     exit 1
   fi
-  chaos_b="$(MESHLAYER_OUT="$flight_out" \
-    cargo run --offline --release -q --bin meshctl -- chaos 80 4)"
+  chaos_b="$(MESHLAYER_OUT="$flight_out" MESHLAYER_SECS=4 \
+    cargo run --offline --release -q -p meshlayer-bench --bin experiment -- chaos 80)"
   rm -f "$flight_out/chaos.flight"
   if [[ "$chaos_a" != "$chaos_b" ]]; then
     echo "ci: chaos incident run is not deterministic across identical runs" >&2
@@ -142,7 +142,7 @@ if [[ "${MESHLAYER_CI_SKIP_TESTS:-0}" != "1" ]]; then
   # O(run length)). 4000 scrapes ≈ 6.7 simulated minutes — past every
   # retention tier's steady state — at a quarter of the default ceiling,
   # so even a slow leak fails fast.
-  cargo run --offline --release -q -p meshlayer-bench --bin telemetry_mem -- \
+  cargo run --offline --release -q -p meshlayer-bench --bin experiment -- telemetry_mem \
     --scrapes 4000 --ceiling-mib 32
 
   echo "== topology scale: generated-fabric smoke (sweep + record/replay) =="
@@ -155,12 +155,12 @@ if [[ "${MESHLAYER_CI_SKIP_TESTS:-0}" != "1" ]]; then
   # same fabric is held to the flight-recorder bar: record, replay,
   # zero divergence.
   MESHLAYER_OUT="$flight_out" MESHLAYER_SECS=2 MESHLAYER_WARMUP=1 \
-    cargo run --offline -q -p meshlayer-bench --bin topo_smoke -- \
+    cargo run --offline -q -p meshlayer-bench --bin experiment -- topo_smoke \
     --pods 200 --rps 2000 --rss-ceiling-mib 160
   MESHLAYER_OUT="$flight_out" MESHLAYER_SECS=2 MESHLAYER_WARMUP=1 \
-    cargo run --offline --release -q -p meshlayer-bench --bin topo_smoke -- --record
+    cargo run --offline --release -q -p meshlayer-bench --bin experiment -- topo_smoke --record
   topo_replay="$(MESHLAYER_OUT="$flight_out" MESHLAYER_SECS=2 MESHLAYER_WARMUP=1 \
-    cargo run --offline --release -q -p meshlayer-bench --bin topo_smoke -- --replay)"
+    cargo run --offline --release -q -p meshlayer-bench --bin experiment -- topo_smoke --replay)"
   echo "$topo_replay"
   rm -f "$flight_out/topo_smoke.flight"
   if ! grep -q "0 divergences" <<<"$topo_replay"; then
@@ -168,20 +168,22 @@ if [[ "${MESHLAYER_CI_SKIP_TESTS:-0}" != "1" ]]; then
     exit 1
   fi
 
-  echo "== fluid plane: meshctl links determinism (run-twice diff) =="
+  echo "== fluid plane: links view determinism (run-twice diff) =="
   # The per-link packet-vs-fluid utilization table is a pure function of
   # the deterministic run (every column comes from simulation counters);
   # two identical invocations must produce byte-identical stdout.
-  links_a="$(cargo run --offline --release -q --bin meshctl -- links 20000 2)"
+  links_a="$(MESHLAYER_SECS=2 \
+    cargo run --offline --release -q -p meshlayer-bench --bin experiment -- links 20000)"
   echo "$links_a"
-  links_b="$(cargo run --offline --release -q --bin meshctl -- links 20000 2)"
+  links_b="$(MESHLAYER_SECS=2 \
+    cargo run --offline --release -q -p meshlayer-bench --bin experiment -- links 20000)"
   if [[ "$links_a" != "$links_b" ]]; then
-    echo "ci: meshctl links output is not deterministic across identical runs" >&2
+    echo "ci: links view output is not deterministic across identical runs" >&2
     diff <(echo "$links_a") <(echo "$links_b") >&2 || true
     exit 1
   fi
   if ! grep -q "fluid class" <<<"$links_a"; then
-    echo "ci: meshctl links reported no fluid classes" >&2
+    echo "ci: links view reported no fluid classes" >&2
     exit 1
   fi
 
@@ -200,7 +202,7 @@ if [[ "${MESHLAYER_CI_SKIP_TESTS:-0}" != "1" ]]; then
   # parses, is non-empty, and has only complete spans (DESIGN.md §10);
   # meshctl validate-trace is the checker users run by hand.
   MESHLAYER_OUT="$flight_out" MESHLAYER_SECS=2 MESHLAYER_WARMUP=1 \
-    cargo run --offline --release -q -p meshlayer-bench --bin fig4_latency -- \
+    cargo run --offline --release -q -p meshlayer-bench --bin experiment -- fig4_latency \
     --profile "$flight_out/ci_trace.json" 20 40
   cargo run --offline --release -q --bin meshctl -- validate-trace "$flight_out/ci_trace.json"
 fi

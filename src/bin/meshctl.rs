@@ -1,40 +1,25 @@
 //! `meshctl` — a small operator CLI over the meshlayer library.
 //!
 //! ```sh
-//! meshctl topology                 # print the e-library deployment (Fig 3)
-//! meshctl run [RPS] [SECS]         # run the case study, baseline vs optimized
-//! meshctl trace [RPS] [SECS]       # run + print the slowest distributed trace
-//! meshctl ablate [RPS] [SECS]      # toggle each optimization site (A1-style)
-//! meshctl top [RPS] [SECS]         # hierarchical latency roll-up (pod -> service -> zone -> mesh)
-//! meshctl incident [RPS] [SECS]    # closed-loop incident: ordered causal timeline
-//! meshctl chaos [RPS] [SECS]       # incident with an injected fault script (A7-style)
-//! meshctl links [RPS] [SECS]       # per-link utilization table, packet vs fluid split
 //! meshctl policy dump [PRESET]     # render a policy snapshot (baseline|prototype|full)
 //! meshctl policy diff A B          # toggle-level diff between two presets
 //! meshctl validate-trace PATH      # check a --profile Chrome trace JSON file
 //! ```
 //!
-//! Argument parsing is deliberately dependency-free (positional args only).
+//! `meshctl` runs no simulation: the views that do (`incident`, `chaos`,
+//! `links`, `top`, `trace`) are entries of the `experiment` binary.
 
-use meshlayer::apps::{elibrary, ElibraryParams};
-use meshlayer::core::{
-    build_incident_report, AdaptationConfig, FaultKind, FaultScript, PolicySnapshot, RunMetrics,
-    SimSpec, Simulation, TopoMix, TopoParams, XLayerConfig,
-};
-use meshlayer::mesh::Sampling;
-use meshlayer::simcore::{SimDuration, SimTime};
-use meshlayer::telemetry::{SloTarget, TelemetryConfig};
+use meshlayer::core::{PolicySnapshot, XLayerConfig};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
-    eprintln!("usage: meshctl <topology|run|trace|ablate|top|incident|chaos|links> [RPS] [SECS]");
-    eprintln!("       meshctl policy <dump [PRESET] | diff PRESET PRESET>");
+    eprintln!("usage: meshctl policy <dump [PRESET] | diff PRESET PRESET>");
     eprintln!("       meshctl validate-trace PATH");
     eprintln!("       presets: baseline | prototype | full");
     ExitCode::from(2)
 }
 
-/// Validate a Chrome trace-event file written by a bench binary's
+/// Validate a Chrome trace-event file written by `experiment`'s
 /// `--profile` flag: well-formed JSON, non-empty, every span complete.
 fn cmd_validate_trace(path: &str) -> ExitCode {
     let json = match std::fs::read_to_string(path) {
@@ -54,284 +39,6 @@ fn cmd_validate_trace(path: &str) -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-fn spec_at(rps: f64, secs: u64, xlayer: XLayerConfig) -> SimSpec {
-    let params = ElibraryParams {
-        ls_rps: rps,
-        batch_rps: rps,
-        ..ElibraryParams::default()
-    };
-    let mut spec = elibrary(&params);
-    spec.xlayer = xlayer;
-    spec.config.duration = SimDuration::from_secs(secs);
-    spec.config.warmup = SimDuration::from_secs((secs / 4).max(1));
-    spec
-}
-
-fn summarize(label: &str, m: &RunMetrics) {
-    println!("== {label} ==");
-    print!("{}", m.render());
-    println!();
-}
-
-fn cmd_topology() -> ExitCode {
-    let sim = Simulation::build(spec_at(30.0, 1, XLayerConfig::paper_prototype()));
-    println!("{}", sim.cluster().render());
-    println!("{}", sim.fabric().topology.render());
-    ExitCode::SUCCESS
-}
-
-fn cmd_run(rps: f64, secs: u64) -> ExitCode {
-    eprintln!("running e-library at {rps}+{rps} rps for {secs}s, twice...");
-    let base = Simulation::build(spec_at(rps, secs, XLayerConfig::baseline())).run();
-    summarize("w/o cross-layer optimization", &base);
-    let opt = Simulation::build(spec_at(rps, secs, XLayerConfig::paper_prototype())).run();
-    summarize("w/ cross-layer optimization", &opt);
-    if let (Some(b), Some(o)) = (
-        base.class("latency-sensitive"),
-        opt.class("latency-sensitive"),
-    ) {
-        println!(
-            "latency-sensitive speedup: p50 {:.2}x, p99 {:.2}x",
-            b.p50_ms / o.p50_ms.max(1e-9),
-            b.p99_ms / o.p99_ms.max(1e-9)
-        );
-    }
-    ExitCode::SUCCESS
-}
-
-fn cmd_trace(rps: f64, secs: u64) -> ExitCode {
-    let mut spec = spec_at(rps, secs, XLayerConfig::paper_prototype());
-    spec.mesh.sampling = Sampling::Always;
-    let mut sim = Simulation::build(spec);
-    let m = sim.run();
-    println!("{}", m.render());
-    let traces = sim.tracer().traces();
-    match traces
-        .iter()
-        .filter(|t| t.root().is_some())
-        .max_by_key(|t| t.duration().unwrap_or_default())
-    {
-        Some(slowest) => {
-            println!(
-                "slowest of {} traces ({}):",
-                traces.len(),
-                slowest.duration().unwrap_or_default()
-            );
-            print!("{}", slowest.render());
-            println!("critical path: {}", slowest.critical_path().join(" -> "));
-            ExitCode::SUCCESS
-        }
-        None => {
-            eprintln!("no complete traces collected");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn cmd_ablate(rps: f64, secs: u64) -> ExitCode {
-    println!("# variant            | LS p50 | LS p99 | batch p99");
-    for (name, xl) in [
-        ("baseline", XLayerConfig::baseline()),
-        ("prototype (a+c)", XLayerConfig::paper_prototype()),
-        ("full", XLayerConfig::full()),
-    ] {
-        let m = Simulation::build(spec_at(rps, secs, xl)).run();
-        let ls = m.class("latency-sensitive");
-        let ba = m.class("batch-analytics");
-        println!(
-            "{name:<20} | {:>6.1} | {:>6.1} | {:>9.1}",
-            ls.map_or(0.0, |c| c.p50_ms),
-            ls.map_or(0.0, |c| c.p99_ms),
-            ba.map_or(0.0, |c| c.p99_ms),
-        );
-    }
-    ExitCode::SUCCESS
-}
-
-/// `meshctl top`: the fleet roll-up view. One run, then the merged
-/// pod → service → zone → mesh latency hierarchy — every row's
-/// quantiles are true quantiles over its members' samples (exact sketch
-/// merge), not averages of averages.
-fn cmd_top(rps: f64, secs: u64) -> ExitCode {
-    eprintln!("running e-library at {rps}+{rps} rps for {secs}s...");
-    let m = Simulation::build(spec_at(rps, secs, XLayerConfig::paper_prototype())).run();
-    if m.telemetry.rollup.is_empty() {
-        eprintln!("no roll-up rows (no requests completed?)");
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "# level   name                     parent           count   err |   p50ms   p99ms   maxms"
-    );
-    for r in &m.telemetry.rollup {
-        let indent = match r.level.as_str() {
-            "mesh" => "",
-            "zone" | "service" => "  ",
-            _ => "    ",
-        };
-        println!(
-            "{:<9} {:<24} {:<16} {:>6} {:>5} | {:>7.1} {:>7.1} {:>7.1}",
-            r.level,
-            format!("{indent}{}", r.name),
-            r.parent,
-            r.count,
-            r.errors,
-            r.p50_ms,
-            r.p99_ms,
-            r.max_ms
-        );
-    }
-    ExitCode::SUCCESS
-}
-
-/// `meshctl incident`: drive the closed adaptation loop (A6's setup) at
-/// a contended load with a flight capture attached, then join burn
-/// alerts, anomalies, the policy transition, per-layer acks and the
-/// recovery into one ordered causal timeline.
-fn cmd_incident(rps: f64, secs: u64) -> ExitCode {
-    run_incident(rps, secs, None, "incident")
-}
-
-/// `meshctl chaos`: the same closed loop with a deterministic fault
-/// script injected mid-run — a gray `ratings` replica followed by a
-/// short `reviews` partition. The capture tags every injection, so the
-/// timeline's causal chain starts at the fault, not at the alert.
-fn cmd_chaos(rps: f64, secs: u64) -> ExitCode {
-    let script = FaultScript::new()
-        .with(
-            SimTime::from_millis(secs * 1000 / 4),
-            FaultKind::GrayFailure {
-                service: "ratings".into(),
-                replica: 0,
-                speed_factor: 2.0,
-                failure_rate: 0.4,
-                clear_after: Some(SimDuration::from_millis(secs * 1000 / 5)),
-            },
-        )
-        .with(
-            SimTime::from_millis(secs * 1000 / 2),
-            FaultKind::Partition {
-                service: "reviews".into(),
-                heal_after: SimDuration::from_millis(secs * 1000 / 8),
-            },
-        );
-    print!("{}", script.render());
-    run_incident(rps, secs, Some(script), "chaos")
-}
-
-fn run_incident(rps: f64, secs: u64, chaos: Option<FaultScript>, name: &str) -> ExitCode {
-    let mut spec = spec_at(rps, secs, XLayerConfig::baseline());
-    spec.chaos = chaos;
-    spec.config.telemetry = TelemetryConfig::default().with_target(SloTarget::new(
-        "latency-sensitive",
-        SimDuration::from_millis(100),
-        0.05,
-    ));
-    spec.adaptation = Some(AdaptationConfig::new(
-        "latency-sensitive",
-        XLayerConfig::paper_prototype(),
-    ));
-    let mut sim = Simulation::build(spec);
-    let out_dir = std::path::PathBuf::from(
-        std::env::var("MESHLAYER_OUT").unwrap_or_else(|_| "results".into()),
-    );
-    let flight_path = out_dir.join(format!("{name}.flight"));
-    if let Err(e) = sim.record_to(name, &flight_path) {
-        eprintln!(
-            "cannot attach flight capture at {}: {e}",
-            flight_path.display()
-        );
-        return ExitCode::FAILURE;
-    }
-    eprintln!(
-        "running adaptive e-library at {rps}+{rps} rps for {secs}s (capturing flight log)..."
-    );
-    let m = sim.run();
-    let log = match meshlayer::flightrec::FlightLog::load(&flight_path) {
-        Ok(log) => Some(log),
-        Err(e) => {
-            eprintln!("flight log unreadable: {e}");
-            None
-        }
-    };
-    let report = build_incident_report(&m.telemetry, sim.policy().transitions(), log.as_ref());
-    print!("{}", report.render());
-    if report.complete {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
-/// `meshctl links`: run a generated ~200-pod fabric under the
-/// background-heavy mix with the background classes as fluid rate flows
-/// (DESIGN.md §14), then print the per-link utilization table with the
-/// packet vs fluid byte split, busiest links first. The output is a
-/// pure function of the deterministic run — every column derives from
-/// simulation counters, never wall clock — so CI diffs two invocations
-/// byte for byte.
-fn cmd_links(rps: f64, secs: u64) -> ExitCode {
-    let mut p = TopoParams::sized(200, rps);
-    p.mix = TopoMix::BackgroundFluid;
-    let mut spec = p.spec();
-    spec.config.duration = SimDuration::from_secs(secs);
-    spec.config.warmup = SimDuration::from_secs((secs / 4).max(1));
-    eprintln!(
-        "running a {}-pod generated fabric at {rps:.0} rps (fluid background) for {secs}s...",
-        p.pod_count()
-    );
-    let m = Simulation::build(spec).run();
-    let sim_s = m.sim_seconds.max(1e-9);
-    // Share of line rate per plane, from deterministic byte counters.
-    let share = |bytes: u64, rate_bps: u64| bytes as f64 * 8.0 / (rate_bps as f64 * sim_s);
-    let mut rows: Vec<_> = m.links.iter().collect();
-    // Busiest first; ties break on the (unique) rendered name so the
-    // ordering — and therefore the byte output — is total.
-    rows.sort_by(|a, b| {
-        let ua = share(a.tx_bytes + a.fluid_bytes, a.rate_bps);
-        let ub = share(b.tx_bytes + b.fluid_bytes, b.rate_bps);
-        ub.partial_cmp(&ua)
-            .unwrap()
-            .then_with(|| a.name.cmp(&b.name))
-    });
-    const TOP: usize = 12;
-    println!(
-        "# links: top {} of {} by utilization (packet + fluid share of line rate)",
-        TOP.min(rows.len()),
-        rows.len()
-    );
-    println!(
-        "# link                           | rate Gbps | pkt MiB  | fluid MiB | pkt%  | fluid% | drops | fluid-drop B"
-    );
-    for l in rows.iter().take(TOP) {
-        println!(
-            "{:<33} | {:>9.1} | {:>8.2} | {:>9.2} | {:>5.1} | {:>6.1} | {:>5} | {:>12}",
-            l.name,
-            l.rate_bps as f64 / 1e9,
-            l.tx_bytes as f64 / (1024.0 * 1024.0),
-            l.fluid_bytes as f64 / (1024.0 * 1024.0),
-            share(l.tx_bytes, l.rate_bps) * 100.0,
-            share(l.fluid_bytes, l.rate_bps) * 100.0,
-            l.drops,
-            l.fluid_drop_bytes,
-        );
-    }
-    let pkt: u64 = m.links.iter().map(|l| l.tx_bytes).sum();
-    let fluid: u64 = m.links.iter().map(|l| l.fluid_bytes).sum();
-    let fdrop: u64 = m.links.iter().map(|l| l.fluid_drop_bytes).sum();
-    println!("totals: pkt_bytes={pkt} fluid_bytes={fluid} fluid_drop_bytes={fdrop}");
-    for f in &m.fluid {
-        println!(
-            "fluid class {}: flows={} demand_bps={} alloc_bps={} delivered={} dropped={}",
-            f.class, f.flows, f.demand_bps, f.alloc_bps, f.delivered_bytes, f.dropped_bytes
-        );
-    }
-    if fluid == 0 {
-        eprintln!("links: FAIL: no fluid bytes flowed on any link");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
 }
 
 /// A named preset rendered as the policy snapshot the control plane
@@ -388,43 +95,9 @@ fn cmd_policy(args: &[String]) -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
-        return usage();
-    };
-    if cmd == "policy" {
-        return cmd_policy(&args[1..]);
-    }
-    if cmd == "validate-trace" {
-        let Some(path) = args.get(1) else {
-            return usage();
-        };
-        return cmd_validate_trace(path);
-    }
-    // `incident` needs a contended load for the SLO to burn at all;
-    // `links` drives a generated fabric, so its load is total mix RPS;
-    // the other commands default to the paper's moderate operating point.
-    let default_rps = match cmd.as_str() {
-        "incident" | "chaos" => 80.0,
-        "links" => 20_000.0,
-        _ => 30.0,
-    };
-    let rps: f64 = args
-        .get(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(default_rps);
-    let secs: u64 = args.get(2).and_then(|a| a.parse().ok()).unwrap_or(10);
-    if rps <= 0.0 || secs == 0 {
-        return usage();
-    }
-    match cmd.as_str() {
-        "topology" => cmd_topology(),
-        "run" => cmd_run(rps, secs),
-        "trace" => cmd_trace(rps, secs),
-        "ablate" => cmd_ablate(rps, secs),
-        "top" => cmd_top(rps, secs),
-        "incident" => cmd_incident(rps, secs),
-        "chaos" => cmd_chaos(rps, secs),
-        "links" => cmd_links(rps, secs),
+    match (args.first().map(String::as_str), args.get(1)) {
+        (Some("policy"), _) => cmd_policy(&args[1..]),
+        (Some("validate-trace"), Some(path)) => cmd_validate_trace(path),
         _ => usage(),
     }
 }
