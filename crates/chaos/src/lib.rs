@@ -217,32 +217,6 @@ impl FaultScript {
         self
     }
 
-    /// Replica churn: `cycles` crash/restart rounds of the same replica,
-    /// each `down` long and `period` apart, starting at `from`.
-    pub fn with_churn(
-        mut self,
-        service: &str,
-        replica: usize,
-        from: SimTime,
-        cycles: usize,
-        down: SimDuration,
-        period: SimDuration,
-    ) -> FaultScript {
-        let mut at = from;
-        for _ in 0..cycles {
-            self.faults.push(FaultEvent {
-                at,
-                kind: FaultKind::PodCrash {
-                    service: service.to_string(),
-                    replica,
-                    restart_after: Some(down),
-                },
-            });
-            at += period;
-        }
-        self
-    }
-
     /// Render the schedule (one line per fault) for experiment headers.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -299,29 +273,6 @@ mod tests {
         let rb = FaultKind::Rollback { to_version: 1 };
         assert_eq!(rb.subject(), "v1");
         assert_eq!(rb.clear_after(), None);
-    }
-
-    #[test]
-    fn churn_expands_to_crash_restart_cycles() {
-        let s = FaultScript::new().with_churn(
-            "backend",
-            0,
-            SimTime::from_secs(1),
-            3,
-            SimDuration::from_millis(200),
-            SimDuration::from_secs(1),
-        );
-        assert_eq!(s.faults.len(), 3);
-        assert_eq!(s.faults[2].at, SimTime::from_secs(3));
-        for f in &s.faults {
-            assert!(matches!(
-                f.kind,
-                FaultKind::PodCrash {
-                    restart_after: Some(_),
-                    ..
-                }
-            ));
-        }
     }
 
     #[test]

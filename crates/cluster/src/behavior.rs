@@ -41,11 +41,6 @@ impl CallStep {
         }
     }
 
-    /// Convenience: constant-duration compute (seconds).
-    pub fn compute_secs(secs: f64) -> CallStep {
-        CallStep::Compute(Dist::constant(secs))
-    }
-
     /// Total number of `Call` leaves in this tree (fan-out of one request).
     pub fn call_count(&self) -> usize {
         match self {
@@ -122,7 +117,7 @@ mod tests {
     #[test]
     fn call_count_over_composites() {
         let step = CallStep::Seq(vec![
-            CallStep::compute_secs(0.001),
+            CallStep::Compute(Dist::constant(0.001)),
             CallStep::Par(vec![
                 CallStep::call("details", "/d"),
                 CallStep::call("reviews", "/r"),

@@ -3,7 +3,6 @@
 use crate::behavior::ServiceBehavior;
 use crate::compute::{ComputeConfig, PodCompute};
 use crate::scheduler::Scheduler;
-use meshlayer_http::HeaderMap;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -273,11 +272,6 @@ impl Cluster {
         &mut self.pods[id.0 as usize]
     }
 
-    /// Find a pod by its virtual IP.
-    pub fn pod_by_ip(&self, ip: u32) -> Option<&Pod> {
-        self.pods.iter().find(|p| p.ip == ip)
-    }
-
     /// All pods.
     pub fn pods(&self) -> impl Iterator<Item = &Pod> {
         self.pods.iter()
@@ -328,17 +322,6 @@ impl Cluster {
         }
         out
     }
-}
-
-/// Construct the standard priority headers a pod's application attaches
-/// when spawning child requests.
-pub fn propagation_headers(request_id: &str, priority: Option<&str>) -> HeaderMap {
-    let mut h = HeaderMap::new();
-    h.set(meshlayer_http::HDR_REQUEST_ID, request_id);
-    if let Some(p) = priority {
-        h.set(meshlayer_http::HDR_PRIORITY, p);
-    }
-    h
 }
 
 #[cfg(test)]
@@ -409,14 +392,6 @@ mod tests {
     }
 
     #[test]
-    fn pod_by_ip_resolves() {
-        let c = demo_cluster();
-        let ip = c.pod(PodId(2)).ip;
-        assert_eq!(c.pod_by_ip(ip).unwrap().id, PodId(2));
-        assert!(c.pod_by_ip(1).is_none());
-    }
-
-    #[test]
     fn behavior_longest_prefix() {
         let mut c = Cluster::new(&["n"], 8);
         c.deploy(
@@ -471,14 +446,5 @@ mod tests {
         assert!(s.contains("reviews-1"));
         assert!(s.contains("prio=high"));
         assert!(s.contains("2 services"));
-    }
-
-    #[test]
-    fn propagation_headers_include_priority() {
-        let h = propagation_headers("req-9", Some("high"));
-        assert_eq!(h.get("x-request-id"), Some("req-9"));
-        assert_eq!(h.get("x-mesh-priority"), Some("high"));
-        let h2 = propagation_headers("req-9", None);
-        assert!(!h2.contains("x-mesh-priority"));
     }
 }

@@ -36,11 +36,6 @@ impl Priority {
             _ => Priority::Low,
         }
     }
-
-    /// Whether this is the latency-sensitive class.
-    pub fn is_high(self) -> bool {
-        self == Priority::High
-    }
 }
 
 /// One classification rule: requests whose path starts with `path_prefix`
@@ -197,7 +192,5 @@ mod tests {
         assert_eq!(Priority::from_header(Some("low")), Priority::Low);
         assert_eq!(Priority::from_header(Some("weird")), Priority::Low);
         assert_eq!(Priority::from_header(None), Priority::Low);
-        assert!(Priority::High.is_high());
-        assert!(!Priority::Low.is_high());
     }
 }

@@ -68,7 +68,7 @@ pub struct SimConfig {
     /// pool is larger than this sees only a deterministic per-client
     /// subset of this size (0 disables subsetting). Shrinks per-client
     /// route/conn tables at thousand-replica scale; every replica is
-    /// still covered by some client's subset (see [`mod@self::subset`]).
+    /// still covered by some client's subset (see `sim/subset.rs`).
     pub subset_size: usize,
     /// Time-series telemetry: scrape interval and SLO targets.
     pub telemetry: TelemetryConfig,
@@ -723,11 +723,6 @@ impl Simulation {
                 .propose(config, high_share, self.spec.network.queue_pkts, at, reason);
         self.push_ev(at, Ev::PolicyPush { version });
         version
-    }
-
-    /// The latency recorder.
-    pub fn recorder(&self) -> &Recorder {
-        &self.recorder
     }
 
     /// Record wall-clock timings of the event loop during the next

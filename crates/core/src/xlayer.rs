@@ -97,17 +97,6 @@ impl XLayerConfig {
         }
     }
 
-    /// Whether any optimization that needs the priority header is on.
-    pub fn any_enabled(&self) -> bool {
-        self.mesh_subset_routing
-            || self.compute_prio
-            || self.scavenger_batch
-            || self.host_tc
-            || self.dscp_tagging
-            || self.net_prio
-            || self.sdn_lb
-    }
-
     /// The transport parameters for a request of `priority`:
     /// `(connection class, DSCP, congestion control)`.
     ///
@@ -407,11 +396,13 @@ mod tests {
 
     #[test]
     fn presets() {
-        assert!(!XLayerConfig::baseline().any_enabled());
+        let b = XLayerConfig::baseline();
+        assert!(!b.classify && !b.mesh_subset_routing && !b.host_tc && !b.sdn_lb);
         let p = XLayerConfig::paper_prototype();
         assert!(p.classify && p.mesh_subset_routing && p.host_tc);
         assert!(!p.scavenger_batch && !p.net_prio);
-        assert!(XLayerConfig::full().any_enabled());
+        let f = XLayerConfig::full();
+        assert!(f.compute_prio && f.scavenger_batch && f.dscp_tagging && f.net_prio);
     }
 
     #[test]

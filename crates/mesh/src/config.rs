@@ -97,11 +97,6 @@ impl MeshConfig {
             .get(cluster)
             .unwrap_or(&self.default_policy)
     }
-
-    /// Insert or replace a per-cluster policy override.
-    pub fn set_policy(&mut self, cluster: impl Into<String>, policy: ClusterPolicy) {
-        self.cluster_policies.insert(cluster.into(), policy);
-    }
 }
 
 #[cfg(test)]
@@ -112,8 +107,8 @@ mod tests {
     fn policy_lookup_falls_back_to_default() {
         let mut cfg = MeshConfig::default();
         assert_eq!(cfg.policy("anything").lb, LbPolicy::RoundRobin);
-        cfg.set_policy(
-            "reviews",
+        cfg.cluster_policies.insert(
+            "reviews".into(),
             ClusterPolicy {
                 lb: LbPolicy::PeakEwma,
                 ..ClusterPolicy::default()

@@ -86,14 +86,6 @@ impl LoadBalancer {
             .push(latency.as_secs_f64());
     }
 
-    /// The current latency estimate for an endpoint, if any.
-    pub fn latency_estimate(&self, pod: PodId) -> Option<SimDuration> {
-        self.ewma
-            .get(&pod)
-            .and_then(|e| e.get())
-            .map(SimDuration::from_secs_f64)
-    }
-
     /// Choose an endpoint among `candidates`. Returns `None` iff empty.
     pub fn pick(
         &mut self,
@@ -264,7 +256,7 @@ mod tests {
         for _ in 0..20 {
             assert_eq!(lb.pick(&cands, &ctx, &mut rng).unwrap(), PodId(1));
         }
-        assert!(lb.latency_estimate(PodId(0)).unwrap() > lb.latency_estimate(PodId(1)).unwrap());
+        assert!(lb.ewma[&PodId(0)].get().unwrap() > lb.ewma[&PodId(1)].get().unwrap());
     }
 
     #[test]

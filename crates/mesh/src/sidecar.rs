@@ -376,11 +376,6 @@ impl Sidecar {
         self.inflight.get(request_id)
     }
 
-    /// Number of in-flight inbound requests (provenance table size).
-    pub fn inflight_count(&self) -> usize {
-        self.inflight.len()
-    }
-
     // -----------------------------------------------------------------
     // Outbound path
     // -----------------------------------------------------------------
@@ -695,15 +690,6 @@ impl Sidecar {
         self.cfg.policy(cluster).timeout
     }
 
-    /// Outstanding requests to one endpoint of one cluster (telemetry).
-    pub fn outstanding_to(&self, cluster: &str, pod: PodId) -> usize {
-        self.upstreams
-            .get(cluster)
-            .and_then(|u| u.outstanding.get(&pod))
-            .copied()
-            .unwrap_or(0)
-    }
-
     /// Build a server span for a handled inbound request.
     pub fn server_span(
         &self,
@@ -800,6 +786,15 @@ mod tests {
 
     const T0: SimTime = SimTime::ZERO;
 
+    /// Outstanding requests to one endpoint of one cluster.
+    fn outstanding_to(sc: &Sidecar, cluster: &str, pod: PodId) -> usize {
+        sc.upstreams
+            .get(cluster)
+            .and_then(|u| u.outstanding.get(&pod))
+            .copied()
+            .unwrap_or(0)
+    }
+
     #[test]
     fn inbound_mints_ids_and_records_provenance() {
         let mut sc = mk_sidecar(simple_routes());
@@ -808,11 +803,11 @@ mod tests {
         assert_eq!(ctx.priority.as_deref(), Some("high"));
         assert!(req.headers.contains(HDR_REQUEST_ID));
         assert!(req.headers.contains(HDR_B3_TRACE_ID));
-        assert_eq!(sc.inflight_count(), 1);
+        assert_eq!(sc.inflight.len(), 1);
         let rid = req.headers.get(HDR_REQUEST_ID).unwrap().to_string();
         assert!(sc.inbound_ctx(&rid).is_some());
         sc.end_inbound(&rid);
-        assert_eq!(sc.inflight_count(), 0);
+        assert_eq!(sc.inflight.len(), 0);
     }
 
     #[test]
@@ -859,7 +854,7 @@ mod tests {
             RouteOutcome::Forward { pod, cluster } => {
                 assert!(pod == PodId(0) || pod == PodId(1));
                 assert_eq!(cluster, "reviews");
-                assert_eq!(sc.outstanding_to("reviews", pod), 1);
+                assert_eq!(outstanding_to(&sc, "reviews", pod), 1);
             }
             other => panic!("{other:?}"),
         }
@@ -1031,8 +1026,8 @@ mod tests {
             "breaker must open despite interleaved hedge cancels"
         );
         // The cancelled attempts released their outstanding slots.
-        assert_eq!(sc.outstanding_to("reviews", PodId(0)), 0);
-        assert_eq!(sc.outstanding_to("reviews", PodId(1)), 0);
+        assert_eq!(outstanding_to(&sc, "reviews", PodId(0)), 0);
+        assert_eq!(outstanding_to(&sc, "reviews", PodId(1)), 0);
     }
 
     #[test]

@@ -104,7 +104,6 @@ impl Sampling {
 #[derive(Debug, Default)]
 pub struct Tracer {
     spans: Vec<Span>,
-    next_span: u64,
     dropped: u64,
     /// Hard cap to bound memory in long runs.
     capacity: usize,
@@ -116,17 +115,9 @@ impl Tracer {
     pub fn new(capacity: usize) -> Self {
         Tracer {
             spans: Vec::new(),
-            next_span: 1,
             dropped: 0,
             capacity,
         }
-    }
-
-    /// Allocate a fresh span id.
-    pub fn new_span_id(&mut self) -> SpanId {
-        let id = SpanId(self.next_span);
-        self.next_span += 1;
-        id
     }
 
     /// Record a finished span.
@@ -447,13 +438,5 @@ mod tests {
         assert!(out.contains("  frontend"));
         assert!(out.contains("    reviews"));
         assert!(out.contains("      ratings"));
-    }
-
-    #[test]
-    fn span_ids_unique() {
-        let mut t = Tracer::new(10);
-        let a = t.new_span_id();
-        let b = t.new_span_id();
-        assert_ne!(a, b);
     }
 }

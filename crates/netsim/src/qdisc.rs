@@ -148,11 +148,6 @@ impl Prio {
     pub fn n_bands(&self) -> usize {
         self.bands.len()
     }
-
-    /// Queue depth of one band.
-    pub fn band_len(&self, band: usize) -> usize {
-        self.bands.get(band).map_or(0, |b| b.len())
-    }
 }
 
 impl Qdisc for Prio {
@@ -331,11 +326,6 @@ impl HtbLite {
             drops: 0,
         }
     }
-
-    /// Queue depth of one class.
-    pub fn class_len(&self, class: usize) -> usize {
-        self.classes.get(class).map_or(0, |c| c.queue.len())
-    }
 }
 
 impl Qdisc for HtbLite {
@@ -478,7 +468,7 @@ mod tests {
     fn prio_clamps_out_of_range_class() {
         let mut q = Prio::new(2, 100);
         q.enqueue(pkt(0, 1), ClassId(9), SimTime::ZERO).unwrap();
-        assert_eq!(q.band_len(1), 1);
+        assert_eq!(q.bands[1].len(), 1);
     }
 
     #[test]
@@ -585,7 +575,7 @@ mod tests {
         // Keep both classes backlogged.
         for _ in 0..2000 {
             for class in 0..2u16 {
-                while q.class_len(class as usize) < 5 {
+                while q.classes[class as usize].queue.len() < 5 {
                     let _ = q.enqueue(pkt(next_id, 934), ClassId(class), now);
                     next_id += 1;
                 }
@@ -609,7 +599,7 @@ mod tests {
             }
             // Recount: refill loop above keeps both at 5 before dequeue, so
             // the class that now has 4 is the one that sent.
-            if q.class_len(0) < 5 {
+            if q.classes[0].queue.len() < 5 {
                 sent[0] += 1;
             } else {
                 sent[1] += 1;
@@ -636,7 +626,7 @@ mod tests {
         let mut id = 0;
         let end = SimTime::from_secs(1);
         while now < end {
-            while q.class_len(1) < 5 {
+            while q.classes[1].queue.len() < 5 {
                 let _ = q.enqueue(pkt(id, 934), ClassId(1), now);
                 id += 1;
             }

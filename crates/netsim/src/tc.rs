@@ -120,13 +120,6 @@ impl TcTable {
         self.priomap.push((dscp, class));
     }
 
-    /// Remove every filter whose match equals `matcher` exactly.
-    pub fn remove_filter(&mut self, matcher: &FilterMatch) -> usize {
-        let before = self.filters.len();
-        self.filters.retain(|f| &f.matcher != matcher);
-        before - self.filters.len()
-    }
-
     /// Remove all rules and priomap entries.
     pub fn clear(&mut self) {
         self.filters.clear();
@@ -208,17 +201,6 @@ mod tests {
         t.map_dscp(DSCP_BATCH, ClassId(1));
         t.map_dscp(DSCP_BATCH, ClassId(2));
         assert_eq!(t.classify(&pkt(1, DSCP_BATCH)), ClassId(2));
-    }
-
-    #[test]
-    fn remove_filter_by_matcher() {
-        let mut t = TcTable::new(ClassId(0));
-        let m = FilterMatch::any().dst_ip(10);
-        t.add_filter(m.clone(), ClassId(1));
-        t.add_filter(FilterMatch::any().dst_ip(11), ClassId(1));
-        assert_eq!(t.remove_filter(&m), 1);
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.classify(&pkt(10, 0)), ClassId(0));
     }
 
     #[test]

@@ -106,14 +106,6 @@ impl Topology {
         &self.node_names[n.0 as usize]
     }
 
-    /// Look a node up by name.
-    pub fn find_node(&self, name: &str) -> Option<NodeId> {
-        self.node_names
-            .iter()
-            .position(|n| n == name)
-            .map(|i| NodeId(i as u32))
-    }
-
     /// Add a unidirectional link, returning its id. Discards the routing
     /// table.
     pub fn add_link(
@@ -410,11 +402,11 @@ mod tests {
     }
 
     #[test]
-    fn find_node_and_names() {
-        let (t, a, _, _) = line3();
-        assert_eq!(t.find_node("a"), Some(a));
-        assert_eq!(t.find_node("nope"), None);
+    fn node_names_in_add_order() {
+        let (t, a, b, c) = line3();
         assert_eq!(t.node_name(a), "a");
+        assert_eq!(t.node_name(b), "b");
+        assert_eq!(t.node_name(c), "c");
     }
 
     #[test]

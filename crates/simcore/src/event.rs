@@ -8,8 +8,8 @@
 //!
 //! # Structure
 //!
-//! Near-future events land in a wheel of [`SLOTS`] buckets, each
-//! [`BUCKET_NS`] nanoseconds wide (512 × 16.4 µs: a horizon ≈ 8.4 ms of
+//! Near-future events land in a wheel of `SLOTS` buckets, each
+//! `BUCKET_NS` nanoseconds wide (512 × 16.4 µs: a horizon ≈ 8.4 ms of
 //! simulated time) — push is O(1). Events beyond the horizon —
 //! retransmission timers, RPC deadlines, ticks — go to an overflow binary
 //! heap and migrate into the wheel as the cursor advances past their

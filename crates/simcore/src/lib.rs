@@ -7,10 +7,11 @@
 //! substitute substrate: a virtual clock ([`SimTime`]), a deterministic
 //! event queue ([`EventQueue`]) with stable tie-breaking, a seedable RNG
 //! ([`SimRng`]) that can be split per component, the sampling
-//! distributions service times and message sizes draw from ([`dist`]), an
-//! HDR-style latency histogram ([`Histogram`]) matching the measurement
-//! fidelity of `wrk2`, and the EWMA the load balancer keeps per endpoint
-//! ([`stats`]).
+//! distributions service times and message sizes draw from ([`dist`]), the
+//! one quantile structure ([`QuantileSketch`], HdrHistogram's log-linear
+//! bucketing, mergeable) behind both the `wrk2`-style latency recorder
+//! ([`Histogram`]) and the telemetry series, and the EWMA the load
+//! balancer keeps per endpoint ([`stats`]).
 //!
 //! Everything here is pure: no wall-clock reads, no global state, no
 //! threads. A simulation run is a function of `(spec, seed)` and nothing
@@ -33,15 +34,15 @@
 pub mod dist;
 pub mod event;
 pub mod fxmap;
-pub mod hist;
 pub mod rng;
+pub mod sketch;
 pub mod stats;
 pub mod time;
 
 pub use dist::Dist;
 pub use event::EventQueue;
 pub use fxmap::FxHashMap;
-pub use hist::Histogram;
 pub use rng::SimRng;
+pub use sketch::{Histogram, LatencyMs, QuantileSketch};
 pub use stats::Ewma;
 pub use time::{SimDuration, SimTime};

@@ -28,19 +28,9 @@ impl Ewma {
         });
     }
 
-    /// Current average, or `default` if no samples yet.
-    pub fn get_or(&self, default: f64) -> f64 {
-        self.value.unwrap_or(default)
-    }
-
     /// Current average, if any sample has been recorded.
     pub fn get(&self) -> Option<f64> {
         self.value
-    }
-
-    /// Whether any sample has been recorded.
-    pub fn is_primed(&self) -> bool {
-        self.value.is_some()
     }
 }
 
@@ -51,8 +41,7 @@ mod tests {
     #[test]
     fn ewma_converges_to_constant() {
         let mut e = Ewma::new(0.2);
-        assert!(!e.is_primed());
-        assert_eq!(e.get_or(7.0), 7.0);
+        assert_eq!(e.get(), None);
         for _ in 0..200 {
             e.push(3.0);
         }

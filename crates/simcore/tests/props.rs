@@ -1,6 +1,6 @@
 //! Property-based tests for the simulation core.
 
-use meshlayer_simcore::{Dist, EventQueue, Histogram, SimRng, SimTime};
+use meshlayer_simcore::{Dist, EventQueue, QuantileSketch, SimRng, SimTime};
 use proptest::prelude::*;
 
 proptest! {
@@ -94,45 +94,6 @@ proptest! {
         prop_assert_eq!(rest, model);
     }
 
-    /// Histogram quantiles are within the documented 1% relative error and
-    /// never exceed the observed extremes.
-    #[test]
-    fn histogram_quantile_bounds(values in prop::collection::vec(1u64..10_000_000_000, 1..500)) {
-        let mut h = Histogram::new();
-        let mut sorted = values.clone();
-        sorted.sort_unstable();
-        for &v in &values {
-            h.record(v);
-        }
-        for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
-            let got = h.value_at_quantile(q);
-            prop_assert!(got >= h.min());
-            prop_assert!(got <= h.max());
-            // Compare against the exact nearest-rank value.
-            let rank = ((q * values.len() as f64).ceil() as usize).clamp(1, values.len());
-            let exact = sorted[rank - 1];
-            let rel = (got as f64 - exact as f64).abs() / exact as f64;
-            prop_assert!(rel < 0.01, "q={} got={} exact={} rel={}", q, got, exact, rel);
-        }
-    }
-
-    /// Merging histograms equals recording the union.
-    #[test]
-    fn histogram_merge_is_union(
-        xs in prop::collection::vec(1u64..1_000_000, 0..200),
-        ys in prop::collection::vec(1u64..1_000_000, 0..200),
-    ) {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        let mut u = Histogram::new();
-        for &x in &xs { a.record(x); u.record(x); }
-        for &y in &ys { b.record(y); u.record(y); }
-        a.merge(&b);
-        prop_assert_eq!(a.count(), u.count());
-        prop_assert_eq!(a.value_at_quantile(0.5), u.value_at_quantile(0.5));
-        prop_assert_eq!(a.value_at_quantile(0.99), u.value_at_quantile(0.99));
-    }
-
     /// All distributions produce non-negative, finite samples.
     #[test]
     fn distributions_are_nonnegative_finite(seed in 0u64..1_000_000, mean in 0.001f64..100.0, shape in 0.05f64..2.0) {
@@ -162,5 +123,114 @@ proptest! {
         // Not a hard guarantee bitwise, but collisions should be absent in
         // practice for these tiny label sets.
         prop_assert_ne!(a2.u64(), c.u64());
+    }
+}
+
+/// Deterministic xorshift stream seeded per case.
+fn samples(n: usize, lo: u64, span_exp: u32, seed: u64) -> Vec<u64> {
+    let span = 1u64 << span_exp;
+    let mut x = seed.wrapping_mul(2_685_821_657_736_338_717).max(1);
+    (0..n)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            lo + x % span
+        })
+        .collect()
+}
+
+fn sketch_of(vals: &[u64], sub_bits: u32) -> QuantileSketch {
+    let mut s = QuantileSketch::new(sub_bits);
+    for &v in vals {
+        s.record(v);
+    }
+    s
+}
+
+/// Exact quantile with the same ceil-rank rule the sketch uses.
+fn exact_quantile(sorted: &[u64], q: f64) -> u64 {
+    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+    sorted[rank - 1]
+}
+
+// The quantile sketch's algebra, at every resolution from 2 sub-bits to
+// the recorder histogram's 8: merge is exactly associative and
+// commutative (byte-for-byte equal sketches, so roll-up order can never
+// affect an exported artifact), and any quantile is within the
+// documented relative error bound of the exact sorted-sample quantile.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Merge algebra: for any 3-way split of any sample set,
+    /// `(a ∪ b) ∪ c == a ∪ (b ∪ c)` and `a ∪ b == b ∪ a`, byte for
+    /// byte, and both equal recording the whole set into one sketch.
+    #[test]
+    fn merge_is_associative_and_commutative(
+        n in 0usize..300,
+        lo in 0u64..50_000,
+        span_exp in 0u32..30,
+        seed in 0u64..10_000,
+        sub_bits in 2u32..9,
+        split in (0.0f64..1.0, 0.0f64..1.0),
+    ) {
+        let vals = samples(n, lo, span_exp, seed);
+        let cut1 = (vals.len() as f64 * split.0.min(split.1)) as usize;
+        let cut2 = (vals.len() as f64 * split.0.max(split.1)) as usize;
+        let a = sketch_of(&vals[..cut1], sub_bits);
+        let b = sketch_of(&vals[cut1..cut2], sub_bits);
+        let c = sketch_of(&vals[cut2..], sub_bits);
+
+        // (a ∪ b) ∪ c
+        let mut left = a.clone();
+        left.merge(&b);
+        left.merge(&c);
+        // a ∪ (b ∪ c)
+        let mut bc = b.clone();
+        bc.merge(&c);
+        let mut right = a.clone();
+        right.merge(&bc);
+        prop_assert_eq!(&left, &right, "merge must be associative");
+
+        // a ∪ b == b ∪ a
+        let mut ab = a.clone();
+        ab.merge(&b);
+        let mut ba = b.clone();
+        ba.merge(&a);
+        prop_assert_eq!(&ab, &ba, "merge must be commutative");
+
+        // Either grouping equals direct recording of the full set.
+        let whole = sketch_of(&vals, sub_bits);
+        prop_assert_eq!(&left, &whole, "merge must equal direct recording");
+    }
+
+    /// Accuracy contract: any quantile of any sample set is within
+    /// `relative_error()` of the exact sorted-sample quantile.
+    #[test]
+    fn quantiles_within_relative_error_of_exact(
+        n in 1usize..400,
+        lo in 0u64..100_000,
+        span_exp in 0u32..30,
+        seed in 0u64..10_000,
+        sub_bits in 2u32..9,
+    ) {
+        let vals = samples(n, lo, span_exp, seed);
+        let s = sketch_of(&vals, sub_bits);
+        let mut sorted = vals.clone();
+        sorted.sort_unstable();
+        for q in [0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0] {
+            let exact = exact_quantile(&sorted, q);
+            let got = s.value_at_quantile(q);
+            let err = (got as f64 - exact as f64).abs() / (exact as f64).max(1.0);
+            prop_assert!(
+                err <= s.relative_error() + 1e-12,
+                "q={q}: sketch {got} vs exact {exact} (rel err {err:.5} > {:.5}, sub_bits {sub_bits})",
+                s.relative_error()
+            );
+        }
+        // min/max/count are exact, not approximated.
+        prop_assert_eq!(s.min(), sorted[0]);
+        prop_assert_eq!(s.max(), *sorted.last().unwrap());
+        prop_assert_eq!(s.count(), sorted.len() as u64);
     }
 }

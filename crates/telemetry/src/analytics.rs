@@ -155,11 +155,6 @@ impl TraceAnalytics {
             self_times,
         }
     }
-
-    /// Self-time entry for one service.
-    pub fn self_time(&self, service: &str) -> Option<&ServiceSelfTime> {
-        self.self_times.iter().find(|s| s.service == service)
-    }
 }
 
 #[cfg(test)]
@@ -219,15 +214,16 @@ mod tests {
     #[test]
     fn self_time_excludes_children() {
         let a = TraceAnalytics::from_spans(&demo_spans());
+        let self_time = |service: &str| a.self_times.iter().find(|s| s.service == service).unwrap();
         // Trace 1 frontend: 100 total, children cover [10,30] and [10,90]
         // (union 80) -> 20 self. Trace 2 frontend: 40 total, child covers
         // 30 -> 10 self. Total 30 ms.
-        let fe = a.self_time("frontend").unwrap();
+        let fe = self_time("frontend");
         assert_eq!(fe.spans, 2);
         assert!((fe.self_ms - 30.0).abs() < 1e-6, "self {}", fe.self_ms);
         assert!((fe.total_ms - 140.0).abs() < 1e-6);
         // ratings has no children: self == total == 60.
-        let r = a.self_time("ratings").unwrap();
+        let r = self_time("ratings");
         assert!((r.self_ms - 60.0).abs() < 1e-6);
     }
 

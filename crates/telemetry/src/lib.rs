@@ -25,8 +25,9 @@ pub mod slo;
 pub use analytics::{CriticalPathStat, ServiceSelfTime, TraceAnalytics};
 pub use anomaly::{AnomalyDetector, AnomalyEvent, AnomalyKind};
 pub use export::{PromSample, ZipkinSpan};
+pub use meshlayer_simcore::QuantileSketch;
 pub use rollup::{PodStats, RollupRow};
 pub use scrape::{ClassSeries, GaugeKind, TelemetryConfig, TelemetryHub, TelemetrySummary};
-pub use series::{GaugeSeries, IntervalStats, LatencySeries, RetentionPolicy, SeriesPoint};
-pub use sketch::{IntervalSketch, QuantileSketch};
+pub use series::{GaugeSeries, IntervalStats, LatencySeries, SeriesPoint};
+pub use sketch::IntervalSketch;
 pub use slo::{Alert, BurnRateRule, SloMonitor, SloTarget};

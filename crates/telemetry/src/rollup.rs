@@ -7,9 +7,10 @@
 //! *true* quantiles over all member samples, not averages of averages.
 //! The result is a flat list of [`RollupRow`]s (mesh first, then zones,
 //! services, pods, each naming its parent) that the exporters and
-//! `meshctl top` render.
+//! `experiment top` render.
 
-use crate::sketch::QuantileSketch;
+use crate::sketch::SUB_BITS;
+use meshlayer_simcore::{LatencyMs, QuantileSketch};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -52,17 +53,24 @@ pub struct RollupRow {
 }
 
 fn row(level: &str, name: &str, parent: &str, sketch: &QuantileSketch, errors: u64) -> RollupRow {
+    let LatencyMs {
+        mean,
+        p50,
+        p90,
+        p99,
+        max,
+    } = sketch.latency_ms();
     RollupRow {
         level: level.to_string(),
         name: name.to_string(),
         parent: parent.to_string(),
         count: sketch.count(),
         errors,
-        mean_ms: sketch.mean() / 1e6,
-        p50_ms: sketch.value_at_quantile(0.50) as f64 / 1e6,
-        p90_ms: sketch.value_at_quantile(0.90) as f64 / 1e6,
-        p99_ms: sketch.value_at_quantile(0.99) as f64 / 1e6,
-        max_ms: sketch.max() as f64 / 1e6,
+        mean_ms: mean,
+        p50_ms: p50,
+        p90_ms: p90,
+        p99_ms: p99,
+        max_ms: max,
     }
 }
 
@@ -73,12 +81,7 @@ pub fn build_rollup(pods: &BTreeMap<String, PodStats>) -> Vec<RollupRow> {
     if pods.is_empty() {
         return Vec::new();
     }
-    let sub_bits = pods
-        .values()
-        .next()
-        .map(|p| p.sketch.sub_bits())
-        .unwrap_or_default();
-    let mut mesh = QuantileSketch::new(sub_bits);
+    let mut mesh = QuantileSketch::new(SUB_BITS);
     let mut mesh_errors = 0u64;
     let mut zones: BTreeMap<&str, (QuantileSketch, u64)> = BTreeMap::new();
     let mut services: BTreeMap<&str, (QuantileSketch, u64, &str)> = BTreeMap::new();
@@ -87,12 +90,12 @@ pub fn build_rollup(pods: &BTreeMap<String, PodStats>) -> Vec<RollupRow> {
         mesh_errors += stats.errors;
         let (zs, ze) = zones
             .entry(stats.zone.as_str())
-            .or_insert_with(|| (QuantileSketch::new(sub_bits), 0));
+            .or_insert_with(|| (QuantileSketch::new(SUB_BITS), 0));
         zs.merge(&stats.sketch);
         *ze += stats.errors;
         let (ss, se, _) = services
             .entry(stats.service.as_str())
-            .or_insert_with(|| (QuantileSketch::new(sub_bits), 0, stats.zone.as_str()));
+            .or_insert_with(|| (QuantileSketch::new(SUB_BITS), 0, stats.zone.as_str()));
         ss.merge(&stats.sketch);
         *se += stats.errors;
     }
@@ -115,7 +118,7 @@ mod tests {
     use super::*;
 
     fn pod(service: &str, zone: &str, values: &[u64]) -> PodStats {
-        let mut sketch = QuantileSketch::default();
+        let mut sketch = QuantileSketch::new(SUB_BITS);
         for &v in values {
             sketch.record(v);
         }

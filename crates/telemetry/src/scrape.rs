@@ -8,15 +8,16 @@
 //! roll-up sketches, the online anomaly detector, and the SLO monitor,
 //! and renders everything into a serializable [`TelemetrySummary`] at end
 //! of run. Retention is bounded: every series rolls old intervals up into
-//! coarser sketches (see [`RetentionPolicy`]), so hub memory is
-//! O(classes × sketch size), not O(run length).
+//! coarser sketches (see [`crate::series`]) and the hub keeps at most
+//! [`ANOMALY_CAP`] anomalies, so hub memory is O(classes × sketch size),
+//! not O(run length).
 
 use crate::anomaly::{AnomalyDetector, AnomalyEvent};
 use crate::rollup::{build_rollup, PodStats, RollupRow};
-use crate::series::{GaugeSeries, IntervalStats, LatencySeries, RetentionPolicy};
-use crate::sketch::QuantileSketch;
+use crate::series::{GaugeSeries, IntervalStats, LatencySeries};
+use crate::sketch::SUB_BITS;
 use crate::slo::{Alert, BurnRateRule, SloMonitor, SloTarget};
-use meshlayer_simcore::{SimDuration, SimTime};
+use meshlayer_simcore::{QuantileSketch, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -102,6 +103,10 @@ impl GaugeKind {
     }
 }
 
+/// Anomaly events the hub retains (oldest dropped beyond this);
+/// flight-recorded anomaly frames are unaffected.
+pub const ANOMALY_CAP: usize = 4096;
+
 /// Telemetry configuration carried in the simulation spec.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct TelemetryConfig {
@@ -111,8 +116,6 @@ pub struct TelemetryConfig {
     pub rule: BurnRateRule,
     /// SLO targets to monitor.
     pub targets: Vec<SloTarget>,
-    /// Series retention / roll-up policy.
-    pub retention: RetentionPolicy,
 }
 
 impl Default for TelemetryConfig {
@@ -122,7 +125,6 @@ impl Default for TelemetryConfig {
             interval: SimDuration::from_millis(100),
             rule: BurnRateRule::default(),
             targets: Vec::new(),
-            retention: RetentionPolicy::default(),
         }
     }
 }
@@ -175,13 +177,6 @@ impl TelemetrySummary {
             .iter()
             .find(|g| g.name == kind.metric_name() && g.instance == instance)
     }
-
-    /// The roll-up row for one (level, name) pair.
-    pub fn rollup_row(&self, level: &str, name: &str) -> Option<&RollupRow> {
-        self.rollup
-            .iter()
-            .find(|r| r.level == level && r.name == name)
-    }
 }
 
 /// Live collection state driven by the engine.
@@ -222,11 +217,10 @@ impl TelemetryHub {
     /// send time) or `None` for a failure.
     pub fn observe_latency(&mut self, class: &str, now: SimTime, latency: Option<SimDuration>) {
         let interval = self.config.interval;
-        let retention = self.config.retention.clone();
         let series = self
             .classes
             .entry(class.to_string())
-            .or_insert_with(|| LatencySeries::with_retention(interval, retention));
+            .or_insert_with(|| LatencySeries::new(interval));
         match latency {
             Some(l) => series.record(now, l),
             None => series.record_error(now),
@@ -244,7 +238,6 @@ impl TelemetryHub {
         latency: SimDuration,
         error: bool,
     ) {
-        let sub_bits = self.config.retention.sub_bits;
         let stats = self
             .pods
             .entry(pod.to_string())
@@ -252,7 +245,7 @@ impl TelemetryHub {
                 service: service.to_string(),
                 zone: zone.to_string(),
                 errors: 0,
-                sketch: QuantileSketch::new(sub_bits),
+                sketch: QuantileSketch::new(SUB_BITS),
             });
         stats.sketch.record_duration(latency);
         if error {
@@ -262,10 +255,9 @@ impl TelemetryHub {
 
     /// Record one gauge sample for the current scrape.
     pub fn scrape_gauge(&mut self, kind: GaugeKind, instance: &str, now: SimTime, value: f64) {
-        let cap = self.config.retention.gauge_cap;
         self.gauges
             .entry((kind, instance.to_string()))
-            .or_insert_with(|| GaugeSeries::with_cap(kind.metric_name(), instance, cap))
+            .or_insert_with(|| GaugeSeries::new(kind.metric_name(), instance))
             .push(now, value);
     }
 
@@ -288,9 +280,8 @@ impl TelemetryHub {
         }
         self.slo.evaluate(now);
         self.anomalies.extend(fresh.iter().cloned());
-        let cap = self.config.retention.anomaly_cap;
-        if self.anomalies.len() > cap {
-            let drop = self.anomalies.len() - cap;
+        if self.anomalies.len() > ANOMALY_CAP {
+            let drop = self.anomalies.len() - ANOMALY_CAP;
             self.anomalies.drain(..drop);
         }
         fresh
@@ -306,7 +297,7 @@ impl TelemetryHub {
         self.slo.alerts()
     }
 
-    /// Anomalies flagged so far (the most recent `anomaly_cap` are
+    /// Anomalies flagged so far (the most recent [`ANOMALY_CAP`] are
     /// retained; older ones age out of the hub but stay in any attached
     /// flight recording).
     pub fn anomalies(&self) -> &[AnomalyEvent] {
@@ -328,7 +319,7 @@ impl TelemetryHub {
     }
 
     /// Bytes of latency/gauge/roll-up/anomaly state the hub currently
-    /// holds. Bounded by the retention policy regardless of run length —
+    /// holds. Bounded by the retention constants regardless of run length —
     /// this is what the ci memory-ceiling check asserts on.
     pub fn memory_bytes(&self) -> usize {
         let classes: usize = self
@@ -434,12 +425,18 @@ mod tests {
             hub.observe_pod_latency(pod, "web", zone, SimDuration::from_millis(3), i % 7 == 0);
         }
         let summary = hub.finish(SimTime::from_secs(1));
-        let mesh = summary.rollup_row("mesh", "mesh").expect("mesh row");
-        assert_eq!(mesh.count, 20);
-        assert_eq!(mesh.errors, 3);
-        assert_eq!(summary.rollup_row("service", "web").unwrap().count, 20);
-        assert_eq!(summary.rollup_row("pod", "web-0").unwrap().count, 10);
-        assert_eq!(summary.rollup_row("zone", "node1").unwrap().count, 10);
+        let row = |level: &str, name: &str| {
+            summary
+                .rollup
+                .iter()
+                .find(|r| r.level == level && r.name == name)
+                .unwrap_or_else(|| panic!("row {level}/{name}"))
+        };
+        assert_eq!(row("mesh", "mesh").count, 20);
+        assert_eq!(row("mesh", "mesh").errors, 3);
+        assert_eq!(row("service", "web").count, 20);
+        assert_eq!(row("pod", "web-0").count, 10);
+        assert_eq!(row("zone", "node1").count, 10);
     }
 
     #[test]

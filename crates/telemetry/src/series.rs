@@ -7,69 +7,34 @@
 //! instantaneous values (link utilization, queue depths, counter deltas).
 //!
 //! Neither grows with run length. Closed latency intervals are kept at
-//! full resolution only for a bounded recent window; beyond it the
-//! [`RetentionPolicy`] rolls the oldest `rollup_factor` fine intervals
-//! into one coarse interval by sketch merge, and caps the coarse tier by
-//! merging its two oldest entries (their span doubles). Steady-state
-//! memory is O(classes × sketch size) however long the run: old history
-//! loses time resolution, never its quantile fidelity. Gauge series cap
-//! their points by pairwise-averaging the oldest half on overflow.
+//! full resolution only for the most recent [`FINE_CAP`] intervals;
+//! beyond that the oldest [`ROLLUP_FACTOR`] fine intervals roll into one
+//! coarse interval by sketch merge, and the coarse tier caps itself at
+//! [`COARSE_CAP`] by merging its two oldest entries (their span
+//! doubles). Steady-state memory is O(classes × sketch size) however
+//! long the run: old history loses time resolution, never its quantile
+//! fidelity. Gauge series cap their points at [`GAUGE_CAP`] by
+//! pairwise-averaging the oldest half on overflow.
+//!
+//! At the default 100 ms scrape interval that is 4.8 s of
+//! full-resolution history (past every SLO burn window), then 800 ms
+//! coarse intervals, ≤ 73 sketches per class forever.
 
-use crate::sketch::{IntervalSketch, QuantileSketch, DEFAULT_SUB_BITS};
-use meshlayer_simcore::{SimDuration, SimTime};
+use crate::sketch::{IntervalSketch, SUB_BITS};
+use meshlayer_simcore::{LatencyMs, QuantileSketch, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
-/// Retention/roll-up configuration shared by every telemetry series.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct RetentionPolicy {
-    /// Sketch resolution: `1 << sub_bits` sub-buckets per power-of-two
-    /// band (relative error `2^-sub_bits`).
-    pub sub_bits: u32,
-    /// Closed fine intervals kept at scrape resolution before roll-up.
-    pub fine_cap: usize,
-    /// Fine intervals merged into one coarse interval per roll-up.
-    pub rollup_factor: usize,
-    /// Coarse intervals kept; overflow merges the two oldest (their
-    /// span doubles, so the count never exceeds this cap).
-    pub coarse_cap: usize,
-    /// Points kept per gauge series before the oldest half is
-    /// pairwise-averaged down.
-    pub gauge_cap: usize,
-    /// Anomaly events retained by the hub (oldest dropped beyond this);
-    /// flight-recorded anomaly frames are unaffected.
-    pub anomaly_cap: usize,
-}
-
-impl Default for RetentionPolicy {
-    /// At the default 100 ms scrape interval: 4.8 s of full-resolution
-    /// history (past every SLO burn window), then 800 ms coarse
-    /// intervals, ≤ 73 sketches per class forever.
-    fn default() -> Self {
-        RetentionPolicy {
-            sub_bits: DEFAULT_SUB_BITS,
-            fine_cap: 48,
-            rollup_factor: 8,
-            coarse_cap: 24,
-            gauge_cap: 1024,
-            anomaly_cap: 4096,
-        }
-    }
-}
-
-impl RetentionPolicy {
-    /// A policy that never rolls up (for tests pinning fine behaviour).
-    pub fn unbounded() -> Self {
-        RetentionPolicy {
-            sub_bits: DEFAULT_SUB_BITS,
-            fine_cap: usize::MAX,
-            rollup_factor: 8,
-            coarse_cap: usize::MAX,
-            gauge_cap: usize::MAX,
-            anomaly_cap: usize::MAX,
-        }
-    }
-}
+/// Closed fine intervals kept at scrape resolution before roll-up.
+pub const FINE_CAP: usize = 48;
+/// Fine intervals merged into one coarse interval per roll-up.
+pub const ROLLUP_FACTOR: usize = 8;
+/// Coarse intervals kept; overflow merges the two oldest (their span
+/// doubles, so the count never exceeds this cap).
+pub const COARSE_CAP: usize = 24;
+/// Points kept per gauge series before the oldest half is
+/// pairwise-averaged down.
+pub const GAUGE_CAP: usize = 1024;
 
 /// Summary of one closed latency interval.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -98,17 +63,23 @@ pub struct IntervalStats {
 impl IntervalStats {
     /// Summarize one closed interval sketch.
     pub fn from_interval(iv: &IntervalSketch) -> IntervalStats {
-        let s = &iv.sketch;
+        let LatencyMs {
+            mean,
+            p50,
+            p90,
+            p99,
+            max,
+        } = iv.sketch.latency_ms();
         IntervalStats {
             t_s: iv.start.as_secs_f64(),
             len_s: iv.len.as_secs_f64(),
-            count: s.count(),
+            count: iv.sketch.count(),
             errors: iv.errors,
-            mean_ms: s.mean() / 1e6,
-            p50_ms: s.value_at_quantile(0.50) as f64 / 1e6,
-            p90_ms: s.value_at_quantile(0.90) as f64 / 1e6,
-            p99_ms: s.value_at_quantile(0.99) as f64 / 1e6,
-            max_ms: s.max() as f64 / 1e6,
+            mean_ms: mean,
+            p50_ms: p50,
+            p90_ms: p90,
+            p99_ms: p99,
+            max_ms: max,
         }
     }
 }
@@ -118,7 +89,6 @@ impl IntervalStats {
 #[derive(Clone, Debug)]
 pub struct LatencySeries {
     interval: SimDuration,
-    retention: RetentionPolicy,
     cur_start: SimTime,
     cur: QuantileSketch,
     cur_errors: u64,
@@ -133,24 +103,13 @@ pub struct LatencySeries {
 }
 
 impl LatencySeries {
-    /// Series bucketing samples into intervals of the given length,
-    /// with the default retention policy.
+    /// Series bucketing samples into intervals of the given length.
     pub fn new(interval: SimDuration) -> LatencySeries {
-        LatencySeries::with_retention(interval, RetentionPolicy::default())
-    }
-
-    /// Series with an explicit retention policy.
-    pub fn with_retention(interval: SimDuration, retention: RetentionPolicy) -> LatencySeries {
         assert!(interval > SimDuration::ZERO, "zero telemetry interval");
-        assert!(retention.fine_cap >= 1, "fine_cap must be >= 1");
-        assert!(retention.rollup_factor >= 2, "rollup_factor must be >= 2");
-        assert!(retention.coarse_cap >= 2, "coarse_cap must be >= 2");
-        let cur = QuantileSketch::new(retention.sub_bits);
         LatencySeries {
             interval,
-            retention,
             cur_start: SimTime::ZERO,
-            cur,
+            cur: QuantileSketch::new(SUB_BITS),
             cur_errors: 0,
             fine: VecDeque::new(),
             coarse: VecDeque::new(),
@@ -164,13 +123,8 @@ impl LatencySeries {
         self.interval
     }
 
-    /// The retention policy in force.
-    pub fn retention(&self) -> &RetentionPolicy {
-        &self.retention
-    }
-
     fn close_current(&mut self) {
-        let mut iv = IntervalSketch::new(self.cur_start, self.interval, self.retention.sub_bits);
+        let mut iv = IntervalSketch::new(self.cur_start, self.interval);
         std::mem::swap(&mut iv.sketch, &mut self.cur);
         iv.errors = self.cur_errors;
         self.fine.push_back(iv);
@@ -180,21 +134,20 @@ impl LatencySeries {
         self.enforce_retention();
     }
 
-    /// Age-based roll-up: oldest `rollup_factor` fine intervals merge
+    /// Age-based roll-up: oldest [`ROLLUP_FACTOR`] fine intervals merge
     /// into one coarse interval; the coarse tier caps itself by merging
     /// its two oldest entries. Triggered purely by closed-interval
     /// counts, so it is bit-deterministic for a given observation stream.
     fn enforce_retention(&mut self) {
-        let r = &self.retention;
-        while self.fine.len() > r.fine_cap && self.fine.len() >= r.rollup_factor {
+        while self.fine.len() > FINE_CAP {
             let mut merged = self.fine.pop_front().expect("nonempty");
-            for _ in 1..r.rollup_factor {
+            for _ in 1..ROLLUP_FACTOR {
                 let next = self.fine.pop_front().expect("len checked");
                 merged.absorb(&next);
             }
-            self.rolled_up += r.rollup_factor as u64;
+            self.rolled_up += ROLLUP_FACTOR as u64;
             self.coarse.push_back(merged);
-            while self.coarse.len() > r.coarse_cap {
+            while self.coarse.len() > COARSE_CAP {
                 let mut oldest = self.coarse.pop_front().expect("nonempty");
                 let next = self.coarse.pop_front().expect("cap >= 2");
                 oldest.absorb(&next);
@@ -261,23 +214,6 @@ impl LatencySeries {
         self.rolled_up
     }
 
-    /// Samples in the trailing window ending at the open interval: total
-    /// observations and errors. Used by the SLO monitor.
-    pub fn window_totals(&self, now: SimTime, window: SimDuration) -> (u64, u64) {
-        let from = now.saturating_since(SimTime::ZERO).saturating_sub(window);
-        let from_s = SimDuration::from_nanos(from.as_nanos()).as_secs_f64();
-        let mut total = self.cur.count();
-        let mut errors = self.cur_errors;
-        for iv in self.fine.iter().rev().chain(self.coarse.iter().rev()) {
-            if iv.start.as_secs_f64() + iv.len.as_secs_f64() <= from_s {
-                break;
-            }
-            total += iv.sketch.count();
-            errors += iv.errors;
-        }
-        (total, errors)
-    }
-
     /// Consume into the closed points.
     pub fn into_points(mut self, now: SimTime) -> Vec<IntervalStats> {
         self.finish(now);
@@ -307,7 +243,7 @@ pub struct SeriesPoint {
 }
 
 /// A named series of point-in-time samples with bounded retention: when
-/// `cap` is reached, the oldest half of the points is pairwise-averaged
+/// `cap` ([`GAUGE_CAP`]) is reached, the oldest half of the points is pairwise-averaged
 /// (each pair keeps its earlier timestamp), halving its resolution.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct GaugeSeries {
@@ -322,28 +258,19 @@ pub struct GaugeSeries {
 }
 
 impl GaugeSeries {
-    /// New empty series with the default cap.
+    /// New empty series.
     pub fn new(name: impl Into<String>, instance: impl Into<String>) -> GaugeSeries {
-        GaugeSeries::with_cap(name, instance, RetentionPolicy::default().gauge_cap)
-    }
-
-    /// New empty series with an explicit retention cap (≥ 4).
-    pub fn with_cap(
-        name: impl Into<String>,
-        instance: impl Into<String>,
-        cap: usize,
-    ) -> GaugeSeries {
         GaugeSeries {
             name: name.into(),
             instance: instance.into(),
             points: Vec::new(),
-            cap: cap.max(4),
+            cap: GAUGE_CAP,
         }
     }
 
     /// Append one sample, compacting the oldest half if at capacity.
     pub fn push(&mut self, now: SimTime, value: f64) {
-        if self.points.len() >= self.cap && self.cap != usize::MAX {
+        if self.points.len() >= self.cap {
             self.compact_oldest_half();
         }
         self.points.push(SeriesPoint {
@@ -438,81 +365,59 @@ mod tests {
     }
 
     #[test]
-    fn window_totals_cover_trailing_window() {
-        let mut s = LatencySeries::new(SimDuration::from_millis(100));
-        for ms in [10u64, 110, 210, 310] {
-            s.record(SimTime::from_millis(ms), SimDuration::from_millis(1));
-        }
-        s.record_error(SimTime::from_millis(320));
-        // Window of 150 ms from t=350 reaches back to t=200: covers the
-        // closed interval starting at 200 plus the open one.
-        let (total, errors) =
-            s.window_totals(SimTime::from_millis(350), SimDuration::from_millis(150));
-        assert_eq!(total, 2);
-        assert_eq!(errors, 1);
-        // A huge window covers everything.
-        let (total, _) = s.window_totals(SimTime::from_millis(350), SimDuration::from_secs(10));
-        assert_eq!(total, 4);
-    }
-
-    #[test]
     fn rollup_caps_retained_intervals() {
-        let retention = RetentionPolicy {
-            fine_cap: 8,
-            rollup_factor: 4,
-            coarse_cap: 4,
-            ..RetentionPolicy::default()
-        };
-        let mut s = LatencySeries::with_retention(SimDuration::from_millis(100), retention);
-        // 400 closed intervals, one sample each.
-        for i in 0..400u64 {
+        let mut s = LatencySeries::new(SimDuration::from_millis(100));
+        // 1,000 closed intervals, one sample each: enough to fill the
+        // coarse tier and make it merge its oldest entries.
+        for i in 0..1_000u64 {
             s.record(
                 SimTime::from_millis(i * 100 + 10),
                 SimDuration::from_millis(5),
             );
         }
-        s.finish(SimTime::from_secs(40));
-        assert_eq!(s.closed_count(), 400);
+        s.finish(SimTime::from_secs(100));
+        assert_eq!(s.closed_count(), 1_000);
         let pts = s.points();
-        // Bounded: at most fine_cap + coarse_cap intervals ever retained.
-        assert!(pts.len() <= 8 + 4, "retained {} intervals", pts.len());
+        // Bounded: at most FINE_CAP + COARSE_CAP intervals ever retained.
+        assert!(
+            pts.len() <= FINE_CAP + COARSE_CAP,
+            "retained {} intervals",
+            pts.len()
+        );
         // Nothing lost: counts survive the roll-up.
-        assert_eq!(pts.iter().map(|p| p.count).sum::<u64>(), 400);
+        assert_eq!(pts.iter().map(|p| p.count).sum::<u64>(), 1_000);
         // Chronological, non-overlapping, spans grow toward the front.
         for w in pts.windows(2) {
             assert!(w[0].t_s + w[0].len_s <= w[1].t_s + 1e-9);
         }
+        assert!(pts[0].len_s > (ROLLUP_FACTOR as f64 * 0.1) + 1e-9);
         assert!(pts[0].len_s > pts.last().unwrap().len_s);
         assert!(s.rolled_up() > 0);
     }
 
     #[test]
     fn rollup_of_fine_equals_one_coarse_interval() {
-        // Recording the same stream into (a) fine intervals then rolling
-        // up and (b) one coarse interval directly yields byte-identical
-        // interval sketches.
-        let retention = RetentionPolicy {
-            fine_cap: 1,
-            rollup_factor: 4,
-            coarse_cap: 4,
-            ..RetentionPolicy::default()
-        };
-        let mut fine = LatencySeries::with_retention(SimDuration::from_millis(100), retention);
-        let mut coarse = LatencySeries::with_retention(
-            SimDuration::from_millis(400),
-            RetentionPolicy::unbounded(),
-        );
-        for i in 0..40u64 {
+        // Recording the same stream into (a) 100 ms intervals, more than
+        // FINE_CAP of them so the oldest ROLLUP_FACTOR roll up once, and
+        // (b) 800 ms intervals, too few ever to roll up, yields
+        // byte-identical sketches for the first 800 ms.
+        let mut fine = LatencySeries::new(SimDuration::from_millis(100));
+        let mut coarse = LatencySeries::new(SimDuration::from_millis(100 * ROLLUP_FACTOR as u64));
+        let fine_intervals = (FINE_CAP + ROLLUP_FACTOR) as u64;
+        for i in 0..fine_intervals * 10 {
             let now = SimTime::from_millis(i * 10);
             let v = SimDuration::from_micros(i * 997 + 5);
             fine.record(now, v);
             coarse.record(now, v);
         }
-        // Close everything: 4 fine intervals -> 1 rolled-up coarse one.
-        fine.advance_to(SimTime::from_millis(500));
-        coarse.advance_to(SimTime::from_millis(500));
+        let end = SimTime::from_millis(fine_intervals * 100);
+        fine.advance_to(end);
+        coarse.advance_to(end);
+        assert_eq!(fine.rolled_up(), ROLLUP_FACTOR as u64);
+        assert_eq!(coarse.rolled_up(), 0);
         let rolled = fine.intervals().next().expect("rolled-up interval");
         let direct = coarse.intervals().next().expect("direct interval");
+        assert_eq!(rolled.len, direct.len);
         assert_eq!(rolled, direct);
     }
 
@@ -550,15 +455,19 @@ mod tests {
 
     #[test]
     fn gauge_series_caps_points() {
-        let mut g = GaugeSeries::with_cap("pod_compute_queue", "pod-0", 16);
-        for i in 0..1_000u64 {
+        let mut g = GaugeSeries::new("pod_compute_queue", "pod-0");
+        for i in 0..10_000u64 {
             g.push(SimTime::from_millis(i * 100), i as f64);
         }
-        assert!(g.points.len() <= 16, "{} points retained", g.points.len());
+        assert!(
+            g.points.len() <= GAUGE_CAP,
+            "{} points retained",
+            g.points.len()
+        );
         // Still chronological and the newest sample is intact.
         for w in g.points.windows(2) {
             assert!(w[0].t_s < w[1].t_s);
         }
-        assert_eq!(g.last(), Some(999.0));
+        assert_eq!(g.last(), Some(9_999.0));
     }
 }

@@ -1,242 +1,21 @@
-//! Deterministic mergeable quantile sketches.
+//! The telemetry plane's sketch resolution and its unit of roll-up.
 //!
-//! A [`QuantileSketch`] is the DDSketch idea — relative-error-bounded
-//! quantiles from logarithmically spaced buckets — built on the same
-//! integer log-linear bucketing as the simcore histogram instead of
-//! floating-point logarithms, so every operation is exact integer
-//! arithmetic: recording, merging, and roll-up are bit-deterministic on
-//! any host and in any order. Merging is element-wise count addition,
-//! which makes it exactly associative and commutative — the property the
-//! telemetry plane's age-based roll-up and pod → service → zone → mesh
-//! aggregation both lean on (property-tested in the telemetry crate).
-//!
-//! The bucket array is stored in canonical trimmed form (first and last
-//! stored bucket are non-empty), so two sketches holding the same
-//! distribution are byte-identical however they were assembled, and an
-//! idle sketch costs a few dozen bytes. Counts are `u32` per bucket
-//! (saturating): one telemetry interval never holds more than ~4 × 10⁹
-//! samples, and halving the footprint matters more at fleet scale.
+//! Every latency series and per-pod roll-up records into a
+//! [`QuantileSketch`] (the simcore quantile structure) at [`SUB_BITS`],
+//! so any two telemetry sketches merge.
 
-use meshlayer_simcore::{SimDuration, SimTime};
+use meshlayer_simcore::{QuantileSketch, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
-/// Default sub-bucket exponent: 2⁶ = 64 linear sub-buckets per
-/// power-of-two band, a relative error bound of 1/64 ≈ 1.6 % — inside
-/// every accuracy margin the experiment suite asserts, at a quarter of
-/// the full histogram's footprint.
-pub const DEFAULT_SUB_BITS: u32 = 6;
-
-/// A mergeable log-linear quantile sketch over `u64` values (nanoseconds
-/// throughout the telemetry plane).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct QuantileSketch {
-    /// Sub-bucket exponent: `1 << sub_bits` linear buckets per band.
-    sub_bits: u32,
-    /// Bucket index of `counts[0]` (canonical: `counts` is trimmed).
-    base: u32,
-    counts: Vec<u32>,
-    total: u64,
-    min: u64,
-    max: u64,
-    sum: u128,
-}
-
-impl Default for QuantileSketch {
-    fn default() -> Self {
-        QuantileSketch::new(DEFAULT_SUB_BITS)
-    }
-}
-
-impl QuantileSketch {
-    /// An empty sketch with `1 << sub_bits` sub-buckets per band; the
-    /// relative error of any quantile is bounded by [`Self::relative_error`].
-    pub fn new(sub_bits: u32) -> QuantileSketch {
-        assert!(
-            (1..=16).contains(&sub_bits),
-            "sub_bits {sub_bits} out of range 1..=16"
-        );
-        QuantileSketch {
-            sub_bits,
-            base: 0,
-            counts: Vec::new(),
-            total: 0,
-            min: u64::MAX,
-            max: 0,
-            sum: 0,
-        }
-    }
-
-    /// The configured sub-bucket exponent.
-    pub fn sub_bits(&self) -> u32 {
-        self.sub_bits
-    }
-
-    /// Guaranteed relative error bound for any quantile: `2^-sub_bits`.
-    pub fn relative_error(&self) -> f64 {
-        1.0 / (1u64 << self.sub_bits) as f64
-    }
-
-    /// Index of the bucket holding `v` (same scheme as the simcore
-    /// histogram, parameterized on `sub_bits`).
-    fn index(&self, v: u64) -> u32 {
-        let sub = 1u64 << self.sub_bits;
-        if v < sub {
-            return v as u32;
-        }
-        let msb = 63 - v.leading_zeros();
-        let band = msb - self.sub_bits;
-        let shift = band + 1;
-        let within = ((v >> shift) & (sub / 2 - 1)) as u32;
-        sub as u32 + band * (sub / 2) as u32 + within
-    }
-
-    /// Lowest value mapping to bucket `i` (inverse of [`Self::index`]).
-    fn bucket_low(&self, i: u32) -> u64 {
-        let sub = 1u64 << self.sub_bits;
-        if (i as u64) < sub {
-            return i as u64;
-        }
-        let rel = i as u64 - sub;
-        let half = sub / 2;
-        let band = (rel / half) as u32;
-        let within = rel % half;
-        let base = sub << band;
-        let width = 1u64 << (band + 1);
-        base + within * width
-    }
-
-    /// Midpoint of bucket `i` (the reported representative value).
-    fn bucket_mid(&self, i: u32) -> u64 {
-        let lo = self.bucket_low(i);
-        let hi = self.bucket_low(i + 1);
-        lo + hi.saturating_sub(lo) / 2
-    }
-
-    /// Record one value.
-    pub fn record(&mut self, v: u64) {
-        let idx = self.index(v);
-        if self.counts.is_empty() {
-            self.base = idx;
-            self.counts.push(0);
-        } else if idx < self.base {
-            let grow = (self.base - idx) as usize;
-            let mut counts = vec![0u32; grow + self.counts.len()];
-            counts[grow..].copy_from_slice(&self.counts);
-            self.counts = counts;
-            self.base = idx;
-        } else if idx - self.base >= self.counts.len() as u32 {
-            self.counts.resize((idx - self.base + 1) as usize, 0);
-        }
-        let slot = &mut self.counts[(idx - self.base) as usize];
-        *slot = slot.saturating_add(1);
-        self.total += 1;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-        self.sum += v as u128;
-    }
-
-    /// Record a duration in nanoseconds.
-    pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_nanos());
-    }
-
-    /// Number of recorded values.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// True if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
-    }
-
-    /// Exact minimum recorded value (0 if empty).
-    pub fn min(&self) -> u64 {
-        if self.total == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-
-    /// Exact maximum recorded value (0 if empty).
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Exact mean of recorded values (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.total as f64
-        }
-    }
-
-    /// Value at quantile `q` in `[0,1]`, within the relative error bound
-    /// of the recorded exact-rank value. Returns 0 if empty.
-    pub fn value_at_quantile(&self, q: f64) -> u64 {
-        if self.total == 0 {
-            return 0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = ((q * self.total as f64).ceil() as u64).clamp(1, self.total);
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c as u64;
-            if seen >= target {
-                return self
-                    .bucket_mid(self.base + i as u32)
-                    .clamp(self.min, self.max);
-            }
-        }
-        self.max
-    }
-
-    /// Merge another sketch into this one: element-wise count addition,
-    /// exactly associative and commutative. Panics if the sub-bucket
-    /// schemes differ (merging across resolutions is not meaningful).
-    pub fn merge(&mut self, other: &QuantileSketch) {
-        assert_eq!(
-            self.sub_bits, other.sub_bits,
-            "cannot merge sketches with different resolutions"
-        );
-        if other.total == 0 {
-            return;
-        }
-        if self.counts.is_empty() {
-            self.base = other.base;
-            self.counts = other.counts.clone();
-        } else {
-            let lo = self.base.min(other.base);
-            let hi =
-                (self.base + self.counts.len() as u32).max(other.base + other.counts.len() as u32);
-            let mut counts = vec![0u32; (hi - lo) as usize];
-            for (i, &c) in self.counts.iter().enumerate() {
-                counts[(self.base - lo) as usize + i] = c;
-            }
-            for (i, &c) in other.counts.iter().enumerate() {
-                let slot = &mut counts[(other.base - lo) as usize + i];
-                *slot = slot.saturating_add(c);
-            }
-            self.base = lo;
-            self.counts = counts;
-        }
-        self.total += other.total;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Estimated heap + inline footprint in bytes.
-    pub fn mem_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.counts.capacity() * std::mem::size_of::<u32>()
-    }
-}
+/// Sketch resolution of the telemetry plane: 2⁶ = 64 linear
+/// sub-buckets per power-of-two band, a relative error bound of
+/// 1/64 ≈ 1.6 % — inside every accuracy margin the experiment suite
+/// asserts, at a quarter of the recorder histogram's footprint.
+pub const SUB_BITS: u32 = 6;
 
 /// One closed telemetry interval backed by a sketch: the unit the
 /// age-based roll-up merges. Fine intervals have `len` equal to the
-/// scrape interval; rolled-up intervals cover `rollup_factor` (or more)
+/// scrape interval; rolled-up intervals cover [`ROLLUP_FACTOR`](crate::series::ROLLUP_FACTOR) (or more)
 /// of them.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct IntervalSketch {
@@ -252,12 +31,12 @@ pub struct IntervalSketch {
 
 impl IntervalSketch {
     /// An empty interval `[start, start + len)`.
-    pub fn new(start: SimTime, len: SimDuration, sub_bits: u32) -> IntervalSketch {
+    pub fn new(start: SimTime, len: SimDuration) -> IntervalSketch {
         IntervalSketch {
             start,
             len,
             errors: 0,
-            sketch: QuantileSketch::new(sub_bits),
+            sketch: QuantileSketch::new(SUB_BITS),
         }
     }
 
@@ -281,95 +60,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn records_and_reports_quantiles() {
-        let mut s = QuantileSketch::new(6);
-        for v in 1..=10_000u64 {
-            s.record(v);
-        }
-        assert_eq!(s.count(), 10_000);
-        assert_eq!(s.min(), 1);
-        assert_eq!(s.max(), 10_000);
-        for (q, expect) in [(0.5, 5_000.0), (0.99, 9_900.0)] {
-            let got = s.value_at_quantile(q) as f64;
-            let rel = (got - expect).abs() / expect;
-            assert!(rel <= s.relative_error(), "q={q}: {got} vs {expect}");
-        }
-    }
-
-    #[test]
-    fn canonical_form_is_trimmed() {
-        let mut s = QuantileSketch::new(6);
-        s.record(1_000_000);
-        s.record(2_000_000);
-        assert!(*s.counts.first().unwrap() > 0);
-        assert!(*s.counts.last().unwrap() > 0);
-        // Recording a smaller value extends the front.
-        s.record(1_000);
-        assert!(*s.counts.first().unwrap() > 0);
-        assert_eq!(s.count(), 3);
-    }
-
-    #[test]
-    fn merge_matches_combined_recording_exactly() {
-        let mut a = QuantileSketch::new(6);
-        let mut b = QuantileSketch::new(6);
-        let mut both = QuantileSketch::new(6);
-        for v in 0..2_000u64 {
-            let x = v * 7919 + 13;
-            if v % 3 == 0 {
-                a.record(x);
-            } else {
-                b.record(x);
-            }
-            both.record(x);
-        }
-        a.merge(&b);
-        assert_eq!(a, both, "merge must equal direct recording byte-for-byte");
-    }
-
-    #[test]
-    fn merge_empty_is_identity() {
-        let mut a = QuantileSketch::new(6);
-        a.record(42);
-        let before = a.clone();
-        a.merge(&QuantileSketch::new(6));
-        assert_eq!(a, before);
-        let mut e = QuantileSketch::new(6);
-        e.merge(&before);
-        assert_eq!(e, before);
-    }
-
-    #[test]
-    fn empty_sketch_is_zeroes() {
-        let s = QuantileSketch::new(6);
-        assert!(s.is_empty());
-        assert_eq!(s.min(), 0);
-        assert_eq!(s.max(), 0);
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.value_at_quantile(0.99), 0);
-    }
-
-    #[test]
     fn interval_absorb_concatenates() {
-        let mut a = IntervalSketch::new(SimTime::ZERO, SimDuration::from_millis(100), 6);
+        let mut a = IntervalSketch::new(SimTime::ZERO, SimDuration::from_millis(100));
         a.sketch.record(1_000);
         a.errors = 1;
-        let mut b =
-            IntervalSketch::new(SimTime::from_millis(100), SimDuration::from_millis(100), 6);
+        let mut b = IntervalSketch::new(SimTime::from_millis(100), SimDuration::from_millis(100));
         b.sketch.record(3_000);
         a.absorb(&b);
         assert_eq!(a.len, SimDuration::from_millis(200));
         assert_eq!(a.errors, 1);
         assert_eq!(a.sketch.count(), 2);
-    }
-
-    #[test]
-    fn mem_bytes_tracks_buckets() {
-        let mut s = QuantileSketch::new(6);
-        let empty = s.mem_bytes();
-        for v in 0..100u64 {
-            s.record(v * 1_000_003);
-        }
-        assert!(s.mem_bytes() > empty);
     }
 }

@@ -1,19 +1,17 @@
-//! Property tests for the telemetry plane's quantile sketches: the
-//! algebraic guarantees the roll-up pyramid and the pod → service →
-//! zone → mesh aggregation both depend on.
+//! Property tests for the telemetry plane's roll-up pyramid. The sketch
+//! algebra it rests on (exact merge associativity and commutativity, the
+//! relative-error bound) is property-tested with the sketch, in
+//! simcore's `tests/props.rs`.
 //!
-//! * merge is exactly **associative** and **commutative** — not just
-//!   "approximately the same distribution" but byte-for-byte equal
-//!   sketches, so roll-up order can never affect an exported artifact;
-//! * any quantile is within the documented relative error bound of the
-//!   exact sorted-sample quantile (same ceil-rank rule);
 //! * absorbing N fine intervals produces the same coarse interval,
 //!   byte for byte, as recording every sample into one coarse interval
 //!   directly — the invariant that makes age-based roll-up lossless at
-//!   interval granularity.
+//!   interval granularity;
+//! * the retention pyramid bounds the intervals a series holds.
 
 use meshlayer_simcore::{SimDuration, SimTime};
-use meshlayer_telemetry::{IntervalSketch, LatencySeries, QuantileSketch, RetentionPolicy};
+use meshlayer_telemetry::series::{COARSE_CAP, FINE_CAP};
+use meshlayer_telemetry::{IntervalSketch, LatencySeries};
 use proptest::prelude::*;
 
 /// Deterministic xorshift stream seeded per case.
@@ -30,94 +28,8 @@ fn samples(n: usize, lo: u64, span_exp: u32, seed: u64) -> Vec<u64> {
         .collect()
 }
 
-fn sketch_of(vals: &[u64], sub_bits: u32) -> QuantileSketch {
-    let mut s = QuantileSketch::new(sub_bits);
-    for &v in vals {
-        s.record(v);
-    }
-    s
-}
-
-/// Exact quantile with the same ceil-rank rule the sketch uses.
-fn exact_quantile(sorted: &[u64], q: f64) -> u64 {
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Merge algebra: for any 3-way split of any sample set,
-    /// `(a ∪ b) ∪ c == a ∪ (b ∪ c)` and `a ∪ b == b ∪ a`, byte for
-    /// byte, and both equal recording the whole set into one sketch.
-    #[test]
-    fn merge_is_associative_and_commutative(
-        n in 0usize..300,
-        lo in 0u64..50_000,
-        span_exp in 0u32..30,
-        seed in 0u64..10_000,
-        sub_bits in 2u32..9,
-        split in (0.0f64..1.0, 0.0f64..1.0),
-    ) {
-        let vals = samples(n, lo, span_exp, seed);
-        let cut1 = (vals.len() as f64 * split.0.min(split.1)) as usize;
-        let cut2 = (vals.len() as f64 * split.0.max(split.1)) as usize;
-        let a = sketch_of(&vals[..cut1], sub_bits);
-        let b = sketch_of(&vals[cut1..cut2], sub_bits);
-        let c = sketch_of(&vals[cut2..], sub_bits);
-
-        // (a ∪ b) ∪ c
-        let mut left = a.clone();
-        left.merge(&b);
-        left.merge(&c);
-        // a ∪ (b ∪ c)
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut right = a.clone();
-        right.merge(&bc);
-        prop_assert_eq!(&left, &right, "merge must be associative");
-
-        // a ∪ b == b ∪ a
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        prop_assert_eq!(&ab, &ba, "merge must be commutative");
-
-        // Either grouping equals direct recording of the full set.
-        let whole = sketch_of(&vals, sub_bits);
-        prop_assert_eq!(&left, &whole, "merge must equal direct recording");
-    }
-
-    /// Accuracy contract: any quantile of any sample set is within
-    /// `relative_error()` of the exact sorted-sample quantile.
-    #[test]
-    fn quantiles_within_relative_error_of_exact(
-        n in 1usize..400,
-        lo in 0u64..100_000,
-        span_exp in 0u32..30,
-        seed in 0u64..10_000,
-        sub_bits in 2u32..9,
-    ) {
-        let vals = samples(n, lo, span_exp, seed);
-        let s = sketch_of(&vals, sub_bits);
-        let mut sorted = vals.clone();
-        sorted.sort_unstable();
-        for q in [0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0] {
-            let exact = exact_quantile(&sorted, q);
-            let got = s.value_at_quantile(q);
-            let err = (got as f64 - exact as f64).abs() / (exact as f64).max(1.0);
-            prop_assert!(
-                err <= s.relative_error() + 1e-12,
-                "q={q}: sketch {got} vs exact {exact} (rel err {err:.5} > {:.5}, sub_bits {sub_bits})",
-                s.relative_error()
-            );
-        }
-        // min/max/count/mean are exact, not approximated.
-        prop_assert_eq!(s.min(), sorted[0]);
-        prop_assert_eq!(s.max(), *sorted.last().unwrap());
-        prop_assert_eq!(s.count(), sorted.len() as u64);
-    }
 
     /// Roll-up losslessness: absorbing N adjacent fine intervals yields
     /// the same coarse interval, byte for byte, as recording every
@@ -135,15 +47,10 @@ proptest! {
         let mut coarse = IntervalSketch::new(
             SimTime::ZERO,
             SimDuration::from_nanos(step.as_nanos() * n_intervals as u64),
-            6,
         );
         for i in 0..n_intervals {
             let vals = samples(per, lo, span_exp, seed.wrapping_add(i as u64));
-            let mut iv = IntervalSketch::new(
-                SimTime::from_nanos(step.as_nanos() * i as u64),
-                step,
-                6,
-            );
+            let mut iv = IntervalSketch::new(SimTime::from_nanos(step.as_nanos() * i as u64), step);
             iv.errors = (seed.wrapping_add(i as u64)) % 3;
             for &v in &vals {
                 iv.sketch.record(v);
@@ -161,7 +68,7 @@ proptest! {
 
     /// The retention pyramid bounds memory for any workload shape:
     /// after any number of closed intervals, the series never holds
-    /// more than `fine_cap + coarse_cap` sketches.
+    /// more than `FINE_CAP + COARSE_CAP` sketches.
     #[test]
     fn retention_bounds_interval_count(
         intervals in 1u64..400,
@@ -169,8 +76,7 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let step = SimDuration::from_millis(100);
-        let pol = RetentionPolicy::default();
-        let mut series = LatencySeries::with_retention(step, pol.clone());
+        let mut series = LatencySeries::new(step);
         for i in 0..intervals {
             let t = SimTime::from_nanos(step.as_nanos() * i + 1);
             for k in 0..per {
@@ -181,7 +87,7 @@ proptest! {
         series.finish(SimTime::from_nanos(step.as_nanos() * intervals + 1));
         let held = series.intervals().count();
         prop_assert!(
-            held <= (pol.fine_cap + pol.coarse_cap) + 1,
+            held <= FINE_CAP + COARSE_CAP + 1,
             "{held} intervals retained exceeds pyramid cap"
         );
         // Nothing is dropped: total sample count survives roll-up.

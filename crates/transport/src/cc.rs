@@ -68,11 +68,6 @@ impl CcAlgo {
             CcAlgo::TcpLp => Box::new(TcpLp::new()),
         }
     }
-
-    /// Whether this algorithm is a scavenger (yields to loss-based flows).
-    pub fn is_scavenger(self) -> bool {
-        matches!(self, CcAlgo::Ledbat | CcAlgo::TcpLp)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -532,14 +527,13 @@ mod tests {
 
     #[test]
     fn algo_enum_builds_and_classifies() {
-        for (algo, name, scav) in [
-            (CcAlgo::Reno, "reno", false),
-            (CcAlgo::Cubic, "cubic", false),
-            (CcAlgo::Ledbat, "ledbat", true),
-            (CcAlgo::TcpLp, "tcp-lp", true),
+        for (algo, name) in [
+            (CcAlgo::Reno, "reno"),
+            (CcAlgo::Cubic, "cubic"),
+            (CcAlgo::Ledbat, "ledbat"),
+            (CcAlgo::TcpLp, "tcp-lp"),
         ] {
             assert_eq!(algo.build().name(), name);
-            assert_eq!(algo.is_scavenger(), scav);
         }
     }
 }

@@ -26,17 +26,6 @@ impl RttEstimator {
         }
     }
 
-    /// Estimator with explicit RTO clamps.
-    pub fn with_bounds(min_rto: SimDuration, max_rto: SimDuration) -> Self {
-        assert!(min_rto <= max_rto);
-        RttEstimator {
-            srtt: None,
-            rttvar: SimDuration::ZERO,
-            min_rto,
-            max_rto,
-        }
-    }
-
     /// Incorporate a new RTT sample.
     pub fn on_sample(&mut self, rtt: SimDuration) {
         match self.srtt {
@@ -107,13 +96,12 @@ mod tests {
 
     #[test]
     fn rto_clamped_to_bounds() {
-        let mut e =
-            RttEstimator::with_bounds(SimDuration::from_millis(50), SimDuration::from_millis(100));
+        let mut e = RttEstimator::new();
         e.on_sample(SimDuration::from_micros(100));
-        assert_eq!(e.rto(), SimDuration::from_millis(50));
-        let mut e2 = RttEstimator::with_bounds(SimDuration::ZERO, SimDuration::from_millis(100));
+        assert_eq!(e.rto(), SimDuration::from_millis(10));
+        let mut e2 = RttEstimator::new();
         e2.on_sample(SimDuration::from_secs(10));
-        assert_eq!(e2.rto(), SimDuration::from_millis(100));
+        assert_eq!(e2.rto(), SimDuration::from_secs(2));
     }
 
     #[test]

@@ -66,12 +66,6 @@ impl WorkloadSpec {
         }
     }
 
-    /// Builder: change the arrival rate.
-    pub fn with_rps(mut self, rps: f64) -> Self {
-        self.arrival.rps = rps;
-        self
-    }
-
     /// Builder: target authority.
     pub fn with_authority(mut self, authority: impl Into<String>) -> Self {
         self.authority = authority.into();
@@ -251,12 +245,5 @@ mod tests {
             assert_eq!(x.intended_at, y.intended_at);
             assert_eq!(x.request.body_len, y.request.body_len);
         }
-    }
-
-    #[test]
-    fn with_rps_builder_changes_rate_only() {
-        let s = WorkloadSpec::get("w", "/p", 10.0).with_rps(40.0);
-        assert_eq!(s.arrival.rps, 40.0);
-        assert_eq!(s.path, "/p");
     }
 }

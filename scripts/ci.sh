@@ -13,6 +13,10 @@ cargo fmt --all -- --check
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "== cargo doc (deny warnings) =="
+# A moved or deleted item must not leave a dangling intra-doc link.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+
 echo "== benchmark: compile check =="
 # benchmark/ is a workspace of its own, so clippy above never compiles
 # it: check it here, so that even a lint-only pass sees a public item
