@@ -357,6 +357,71 @@ fn model_fingerprints_match_the_pre_diet_engine() {
     assert_eq!(diet(&fabric), DIET_FABRIC_50);
 }
 
+/// The three worlds above run no fluid flow, no fault and no policy push.
+/// This one runs all three: 1.5 sim-s of the 52-pod fabric on the
+/// fluid-background mix, a link flap on a frontend replica (which also
+/// re-solves the fluid plane) and a runtime push of the paper's prototype
+/// policy. Its fold covers what the model decided: classes, per-link
+/// packet and fluid bytes, fluid classes, policy transitions and world
+/// counters. Captured at commit 66e5d63, before the simulation's state
+/// was split by plane.
+#[test]
+fn fluid_fault_and_policy_world_matches_its_pin() {
+    use meshlayer::core::{FaultKind, FaultScript, TopoMix, TopoParams};
+    use meshlayer::flightrec::digest::{fold_bytes, fold_u64, FNV_OFFSET};
+    use meshlayer::simcore::SimTime;
+    let mut p = TopoParams::sized(50, 2000.0);
+    p.mix = TopoMix::BackgroundFluid;
+    let mut spec = p.spec();
+    spec.config.duration = SimDuration::from_millis(1_500);
+    spec.config.warmup = SimDuration::from_millis(250);
+    spec.config.cooldown = SimDuration::from_millis(250);
+    spec.chaos = Some(FaultScript::new().with(
+        SimTime::from_millis(400),
+        FaultKind::LinkFlap {
+            service: "frontend".into(),
+            replica: 0,
+            up_after: SimDuration::from_millis(300),
+        },
+    ));
+    let mut sim = Simulation::build(spec);
+    sim.schedule_policy_change(
+        SimTime::from_millis(700),
+        XLayerConfig::paper_prototype(),
+        "pinned",
+    );
+    let m = sim.run();
+    let (stored, arriving) = sim.packets_in_flight();
+    assert_eq!(stored, arriving, "packets stored vs PktArrive pending");
+
+    let mut fold = FNV_OFFSET;
+    for c in &m.classes {
+        fold = fold_bytes(fold, serde_json::to_string(c).unwrap().as_bytes());
+    }
+    for l in &m.links {
+        fold = fold_bytes(fold, l.name.as_bytes());
+        for v in [l.tx_packets, l.tx_bytes, l.fluid_bytes, l.fluid_drop_bytes] {
+            fold = fold_u64(fold, v);
+        }
+    }
+    for f in &m.fluid {
+        fold = fold_bytes(fold, serde_json::to_string(f).unwrap().as_bytes());
+    }
+    for t in sim.policy().transitions() {
+        fold = fold_bytes(fold_u64(fold, t.version), t.reason.as_bytes());
+        fold = fold_u64(fold, t.proposed_at.as_nanos());
+        fold = fold_u64(fold, t.converged_at.map_or(u64::MAX, |c| c.as_nanos()));
+    }
+    fold = fold_bytes(fold, serde_json::to_string(&m.world).unwrap().as_bytes());
+    assert!(!m.fluid.is_empty() && sim.policy().transitions().len() == 1);
+    assert_eq!((m.events, m.pkt_hops()), DIET_FLUID_FAULT_POLICY);
+    assert_eq!(format!("{fold:016x}"), PIN_FLUID_FAULT_POLICY);
+}
+
+/// `(events, packet-hops)` and model fold of the fourth pinned world.
+const DIET_FLUID_FAULT_POLICY: (u64, u64) = (88_745, 55_662);
+const PIN_FLUID_FAULT_POLICY: &str = "7e55ce09effbfcee";
+
 /// `(events, packet-hops)` of the three pinned worlds.
 const DIET_ELIB_BASELINE: (u64, u64) = (2_496_524, 1_811_728);
 const DIET_ELIB_PROTOTYPE: (u64, u64) = (2_044_879, 1_529_740);
