@@ -166,24 +166,22 @@ pub struct RunMetrics {
 }
 
 impl RunMetrics {
-    /// Harvest metrics from a finished simulation.
+    /// Harvest metrics from a finished simulation. Reads the model planes
+    /// by `&`; only the observers are consumed.
     pub(crate) fn collect(sim: &mut Simulation, events: u64) -> RunMetrics {
+        let (ctx, net, transport) = (&sim.ctx, &sim.net, &sim.transport);
+        let (mesh, app, fluid_rt) = (&sim.mesh, &sim.app, &sim.fluid);
+        let obs = &mut sim.obs;
         // Every event up to `end_at` ran, so that is when the run ended;
         // `sim.now()` is whichever leftover event the loop popped last.
-        let now = sim.end_at;
-        let classes = sim.recorder.summaries();
-        let links = sim
-            .fabric
-            .topology
+        let now = ctx.end_at;
+        let topology = &net.fabric.topology;
+        let links = topology
             .links()
             .map(|l| {
                 let s = l.stats();
                 LinkReport {
-                    name: format!(
-                        "{}->{}",
-                        sim.fabric.topology.node_name(l.from()),
-                        sim.fabric.topology.node_name(l.to())
-                    ),
+                    name: topology.link_name(l.id()),
                     rate_bps: l.rate_bps(),
                     utilization: l.utilization(now),
                     tx_packets: s.tx_packets,
@@ -199,7 +197,7 @@ impl RunMetrics {
             })
             .collect();
         let mut fluid: Vec<FluidClassReport> = Vec::new();
-        for f in &sim.fluid.flows {
+        for f in &fluid_rt.flows {
             match fluid.iter_mut().find(|r| r.class == f.class) {
                 Some(r) => {
                     r.flows += 1;
@@ -221,7 +219,7 @@ impl RunMetrics {
             }
         }
         fluid.sort_by(|a, b| a.class.cmp(&b.class));
-        let pods = sim
+        let pods = app
             .cluster
             .pods()
             .map(|p| PodReport {
@@ -232,29 +230,36 @@ impl RunMetrics {
             })
             .collect();
         let mut fleet = SidecarStats::default();
-        for (_, sc) in sim.sidecars.iter() {
-            fleet.merge(sc.stats());
+        for (_, sc) in mesh.sidecars.iter() {
+            let s = sc.stats();
+            fleet.inbound_requests += s.inbound_requests;
+            fleet.outbound_requests += s.outbound_requests;
+            fleet.retries += s.retries;
+            fleet.fail_fast += s.fail_fast;
+            fleet.resp_2xx += s.resp_2xx;
+            fleet.resp_4xx += s.resp_4xx;
+            fleet.resp_5xx += s.resp_5xx;
+            fleet.priority_propagated += s.priority_propagated;
+            fleet.fluid_bytes_in += s.fluid_bytes_in;
         }
-        let mut transport = TransportReport {
-            connections: sim.conns.len(),
+        let mut transport_report = TransportReport {
+            connections: transport.conns.len(),
             ..TransportReport::default()
         };
-        for (_, pair) in sim.conns.iter() {
+        for (_, pair) in transport.conns.iter() {
             for c in [&pair.a, &pair.b] {
                 let s = c.stats();
-                transport.fast_retx += s.fast_retx;
-                transport.timeouts += s.timeouts;
-                transport.msgs_delivered += s.msgs_delivered;
-                transport.bytes_sent += s.bytes_sent;
+                transport_report.fast_retx += s.fast_retx;
+                transport_report.timeouts += s.timeouts;
+                transport_report.msgs_delivered += s.msgs_delivered;
+                transport_report.bytes_sent += s.bytes_sent;
             }
         }
         let hub = std::mem::replace(
-            &mut sim.telemetry,
+            &mut obs.telemetry,
             TelemetryHub::new(TelemetryConfig::default()),
         );
-        let telemetry = hub.finish(now);
-        let analytics = TraceAnalytics::from_spans(sim.tracer.spans());
-        let mut event_profile: Vec<EvProfile> = sim
+        let mut event_profile: Vec<EvProfile> = obs
             .ev_profile
             .iter()
             .enumerate()
@@ -267,34 +272,35 @@ impl RunMetrics {
             .collect();
         // Alphabetical, matching the former name-keyed map's ordering.
         event_profile.sort_by(|a, b| a.event.cmp(&b.event));
+        let queue = &ctx.queue;
         RunMetrics {
-            classes,
+            classes: obs.recorder.summaries(),
             links,
             fluid,
             pods,
             fleet,
-            transport,
-            world: sim.stats.clone(),
+            transport: transport_report,
+            world: ctx.stats.clone(),
             events,
-            events_pushed: sim.queue.total_pushed(),
-            events_popped: sim.queue.total_popped(),
+            events_pushed: queue.total_pushed(),
+            events_popped: queue.total_popped(),
             engine: EngineVitals {
-                far_heap_peak: sim.queue.far_peak(),
+                far_heap_peak: queue.far_peak(),
                 // The loop popped, and dropped, the first event past
                 // `end_at`; it was pending when the run ended.
-                pending_at_end: sim.queue.len() + (sim.queue.total_popped() - events) as usize,
-                compactions: sim.far.runs,
-                compacted_events: sim.far.dropped,
-                pkt_slab_peak: sim.pkts.high_water(),
+                pending_at_end: queue.len() + (queue.total_popped() - events) as usize,
+                compactions: app.far.runs,
+                compacted_events: app.far.dropped,
+                pkt_slab_peak: net.pkts.high_water(),
             },
-            wall_ns: sim.wall_ns,
+            wall_ns: obs.wall_ns,
             sim_seconds: now.as_secs_f64(),
-            spans: sim.tracer.spans().len(),
-            spans_dropped: sim.tracer.dropped(),
-            telemetry,
-            analytics,
+            spans: obs.tracer.spans().len(),
+            spans_dropped: obs.tracer.dropped(),
+            telemetry: hub.finish(now),
+            analytics: TraceAnalytics::from_spans(obs.tracer.spans()),
             event_profile,
-            provenance: aggregate_routes(sim.request_provenance()),
+            provenance: aggregate_routes(&obs.prov.roots),
         }
     }
 

@@ -16,6 +16,7 @@
 //! the total `(SimTime, push-seq)` order — so a change to the engine
 //! that reordered even one event would surface as a divergence.
 
+use super::obs::Observers;
 use super::store::Slab;
 use super::{Ev, Simulation};
 use meshlayer_flightrec::digest::{fold_bytes, fold_u64, FNV_OFFSET};
@@ -156,7 +157,7 @@ pub(crate) enum FlightMode {
     Replay(Box<ReplayChecker>),
 }
 
-/// Live per-run recorder/replayer state owned by the [`Simulation`].
+/// Live per-run recorder/replayer state, owned by the observers.
 pub(crate) struct FlightState {
     pub(crate) mode: FlightMode,
     pub(crate) seq: u64,
@@ -171,14 +172,13 @@ impl Simulation {
         let recorder = FlightRecorder::create(path)?;
         recorder.record_meta(&self.flight_meta(name));
         let tap: Arc<dyn meshlayer_netsim::PacketTap> = recorder.clone();
-        let link_ids: Vec<_> = self.fabric.topology.links().map(|l| l.id()).collect();
-        for id in link_ids {
-            self.fabric.topology.link_mut(id).set_tap(tap.clone());
+        for link in self.net.fabric.topology.links_mut() {
+            link.set_tap(tap.clone());
         }
-        for sc in self.sidecars.iter_mut() {
+        for sc in self.mesh.sidecars.iter_mut() {
             sc.set_decision_sink(recorder.clone());
         }
-        self.flight = Some(FlightState {
+        self.obs.flight = Some(FlightState {
             mode: FlightMode::Record(recorder),
             seq: 0,
             digest: FNV_OFFSET,
@@ -193,8 +193,8 @@ impl Simulation {
     pub fn replay_from(&mut self, path: &Path) -> io::Result<()> {
         let checker = ReplayChecker::open(path)?;
         let meta = checker.meta();
-        let seed = self.spec.config.seed;
-        let duration_ns = self.spec.config.duration.as_nanos();
+        let seed = self.config.seed;
+        let duration_ns = self.config.duration.as_nanos();
         if meta.seed != seed || meta.duration_ns != duration_ns {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -204,7 +204,7 @@ impl Simulation {
                 ),
             ));
         }
-        self.flight = Some(FlightState {
+        self.obs.flight = Some(FlightState {
             mode: FlightMode::Replay(Box::new(checker)),
             seq: 0,
             digest: FNV_OFFSET,
@@ -214,54 +214,51 @@ impl Simulation {
 
     /// The run identity frame for a capture of this simulation.
     fn flight_meta(&self, name: &str) -> MetaInfo {
-        let links = self
-            .fabric
-            .topology
-            .links()
-            .map(|l| {
-                (
-                    l.id().0,
-                    format!(
-                        "{}->{}",
-                        self.fabric.topology.node_name(l.from()),
-                        self.fabric.topology.node_name(l.to())
-                    ),
-                )
-            })
-            .collect();
+        let topology = &self.net.fabric.topology;
         MetaInfo {
             format: FORMAT_VERSION,
             name: name.to_string(),
-            seed: self.spec.config.seed,
-            duration_ns: self.spec.config.duration.as_nanos(),
-            warmup_ns: self.spec.config.warmup.as_nanos(),
-            links,
+            seed: self.config.seed,
+            duration_ns: self.config.duration.as_nanos(),
+            warmup_ns: self.config.warmup.as_nanos(),
+            links: topology
+                .links()
+                .map(|l| (l.id().0, topology.link_name(l.id())))
+                .collect(),
         }
     }
 
+    /// Take the recorder/replay outcome of the last [`Simulation::run`],
+    /// if a recorder or replayer was attached.
+    pub fn take_flight_outcome(&mut self) -> Option<FlightOutcome> {
+        self.obs.flight_outcome.take()
+    }
+}
+
+impl Observers {
     /// The active recorder, when capturing (None while replaying).
     ///
-    /// Used by the rpc/exec paths to emit ingress, completion and
+    /// Used by the handlers to emit ingress, completion and
     /// message-binding records outside the sidecar decision sink.
-    pub(crate) fn flight_rec(&self) -> Option<Arc<FlightRecorder>> {
+    pub(crate) fn flight_rec(&self) -> Option<&FlightRecorder> {
         match &self.flight {
             Some(FlightState {
                 mode: FlightMode::Record(r),
                 ..
-            }) => Some(r.clone()),
+            }) => Some(r),
             _ => None,
         }
     }
 
     /// Engine hook: fold one popped event into the digest and either
     /// record it or check it against the recording.
-    pub(crate) fn flight_observe(&mut self, t: SimTime, ev: &Ev) {
+    pub(crate) fn flight_observe(&mut self, t: SimTime, ev: &Ev, pkts: &Slab<Packet>) {
         let Some(fl) = &mut self.flight else {
             return;
         };
         let seq = fl.seq;
         fl.seq += 1;
-        fl.digest = fold_event(fl.digest, seq, t, ev, &self.pkts);
+        fl.digest = fold_event(fl.digest, seq, t, ev, pkts);
         let rec = EventRecord {
             seq,
             t_ns: t.as_nanos(),
@@ -277,7 +274,7 @@ impl Simulation {
     /// Engine hook: the run is over — close the capture or produce the
     /// replay report. The outcome is retrievable once via
     /// [`Simulation::take_flight_outcome`].
-    pub(crate) fn flight_finish(&mut self) {
+    pub(super) fn flight_finish(&mut self) {
         let Some(fl) = self.flight.take() else {
             return;
         };
@@ -292,11 +289,5 @@ impl Simulation {
             FlightMode::Replay(c) => FlightOutcome::Replayed(c.finish(fl.seq, fl.digest)),
         };
         self.flight_outcome = Some(outcome);
-    }
-
-    /// Take the recorder/replay outcome of the last [`Simulation::run`],
-    /// if a recorder or replayer was attached.
-    pub fn take_flight_outcome(&mut self) -> Option<FlightOutcome> {
-        self.flight_outcome.take()
     }
 }

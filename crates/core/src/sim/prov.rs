@@ -18,6 +18,7 @@
 //! attempts) lands in [`Layer::RetryWait`] as the RPC-level residual.
 
 use super::Simulation;
+use crate::netplan::Fabric;
 use meshlayer_cluster::PodId;
 use meshlayer_prof::{Breakdown, Layer, RequestProv};
 use meshlayer_simcore::{FxHashMap, SimTime};
@@ -56,64 +57,45 @@ impl ProvTrack {
             self.dropped += 1;
         }
     }
-}
-
-impl Simulation {
-    /// Per-request provenance records of the last run (successful roots,
-    /// in completion order; capped at 100k).
-    pub fn request_provenance(&self) -> &[RequestProv] {
-        &self.prov.roots
-    }
 
     /// The unloaded fabric baseline for `bytes` of payload from `src` to
     /// `dst`: propagation plus serialization along the routed path, with
     /// no queueing. Cached per node pair. Same-node pairs cost zero —
     /// their wire time is all host queueing.
-    pub(crate) fn fabric_baseline_ns(&mut self, src: PodId, dst: PodId, bytes: u64) -> u64 {
-        let a = self.fabric.node_of(src);
-        let b = self.fabric.node_of(dst);
-        let key = (a.0, b.0);
-        let (prop, per_byte) = match self.prov.path_base.get(&key) {
-            Some(&v) => v,
-            None => {
-                let mut prop = 0u64;
-                let mut per_byte = 0f64;
-                let mut cur = a;
-                // Walk next-hops instead of `path()` so an unroutable
-                // pair degrades to a zero baseline instead of panicking.
-                let mut hops = 0;
-                while cur != b && hops < 64 {
-                    let Some(lid) = self.fabric.topology.next_hop(cur, b) else {
-                        break;
-                    };
-                    let l = self.fabric.topology.link(lid);
-                    prop += l.delay().as_nanos();
-                    per_byte += 8e9 / l.rate_bps() as f64;
-                    cur = l.to();
-                    hops += 1;
-                }
-                self.prov.path_base.insert(key, (prop, per_byte));
-                (prop, per_byte)
+    fn fabric_baseline_ns(&mut self, fabric: &Fabric, src: PodId, dst: PodId, bytes: u64) -> u64 {
+        let a = fabric.node_of(src);
+        let b = fabric.node_of(dst);
+        let (prop, per_byte) = *self.path_base.entry((a.0, b.0)).or_insert_with(|| {
+            let mut prop = 0u64;
+            let mut per_byte = 0f64;
+            let mut cur = a;
+            // Walk next-hops instead of `path()` so an unroutable
+            // pair degrades to a zero baseline instead of panicking.
+            let mut hops = 0;
+            while cur != b && hops < 64 {
+                let Some(lid) = fabric.topology.next_hop(cur, b) else {
+                    break;
+                };
+                let l = fabric.topology.link(lid);
+                prop += l.delay().as_nanos();
+                per_byte += 8e9 / l.rate_bps() as f64;
+                cur = l.to();
+                hops += 1;
             }
-        };
+            (prop, per_byte)
+        });
         prop + (bytes as f64 * per_byte) as u64
     }
 
     /// Attempt `idx` of `rpc` launched at `now`; its request reaches the
     /// wire at `send_at` (sidecar overhead + localhost hop).
-    pub(crate) fn prov_attempt_start(
-        &mut self,
-        rpc: u64,
-        idx: u32,
-        now: SimTime,
-        send_at: SimTime,
-    ) {
+    pub(crate) fn attempt_start(&mut self, rpc: u64, idx: u32, now: SimTime, send_at: SimTime) {
         let mut bd = Breakdown::ZERO;
         bd.add_ns(
             Layer::SidecarClient,
             send_at.saturating_since(now).as_nanos(),
         );
-        self.prov.attempts.insert(
+        self.attempts.insert(
             (rpc, idx),
             AttemptProv {
                 bd,
@@ -122,34 +104,30 @@ impl Simulation {
         );
     }
 
-    /// A wire crossing finished at `now`: charge the attempt the fabric
+    /// A wire crossing of attempt `(rpc, idx)` from `sender` to
+    /// `receiver` finished at `now`: charge the attempt the fabric
     /// baseline, and the rest of the measured wire time to host/NIC
     /// queueing. `extra` carries the server-side breakdown folded in on
     /// the response leg, plus any post-wire sidecar time.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn prov_wire_done(
+    pub(crate) fn wire_done(
         &mut self,
-        rpc: u64,
-        idx: u32,
-        sender: PodId,
-        receiver: PodId,
+        fabric: &Fabric,
+        (rpc, idx): (u64, u32),
+        (sender, receiver): (PodId, PodId),
         bytes: u64,
         sent_at: SimTime,
         now: SimTime,
         extra: Option<(&Breakdown, u64)>,
     ) {
-        if !self.prov.attempts.contains_key(&(rpc, idx)) {
+        if !self.attempts.contains_key(&(rpc, idx)) {
             return; // attempt already settled (late duplicate delivery)
         }
         let wire_ns = now.saturating_since(sent_at).as_nanos();
         let fabric_ns = self
-            .fabric_baseline_ns(sender, receiver, bytes)
+            .fabric_baseline_ns(fabric, sender, receiver, bytes)
             .min(wire_ns);
-        let p = self
-            .prov
-            .attempts
-            .get_mut(&(rpc, idx))
-            .expect("checked above");
+        let p = self.attempts.get_mut(&(rpc, idx)).expect("checked above");
         p.bd.add_ns(Layer::Fabric, fabric_ns);
         p.bd.add_ns(Layer::NetQueue, wire_ns - fabric_ns);
         if let Some((server_bd, client_sidecar_ns)) = extra {
@@ -158,33 +136,40 @@ impl Simulation {
         }
     }
 
-    /// The request leg of attempt `idx` finished its wire crossing at
-    /// `now` (delivery at the server's sidecar).
-    pub(crate) fn prov_request_wire(
+    /// The request leg of attempt `(rpc, idx)` finished its wire crossing
+    /// at `now` (delivery at the server's sidecar).
+    pub(crate) fn request_wire(
         &mut self,
-        rpc: u64,
-        idx: u32,
-        sender: PodId,
-        receiver: PodId,
+        fabric: &Fabric,
+        attempt: (u64, u32),
+        pods: (PodId, PodId),
         bytes: u64,
         now: SimTime,
     ) {
-        let Some(ws) = self.prov.attempts.get(&(rpc, idx)).map(|p| p.wire_start) else {
+        let Some(ws) = self.attempts.get(&attempt).map(|p| p.wire_start) else {
             return;
         };
-        self.prov_wire_done(rpc, idx, sender, receiver, bytes, ws, now, None);
+        self.wire_done(fabric, attempt, pods, bytes, ws, now, None);
     }
 
     /// Take the accumulated breakdown of attempt `idx` (on the winning
     /// response), leaving losing attempts for completion cleanup.
-    pub(crate) fn prov_take_attempt(&mut self, rpc: u64, idx: u32) -> Option<Breakdown> {
-        self.prov.attempts.remove(&(rpc, idx)).map(|p| p.bd)
+    pub(crate) fn take_attempt(&mut self, rpc: u64, idx: u32) -> Option<Breakdown> {
+        self.attempts.remove(&(rpc, idx)).map(|p| p.bd)
     }
 
     /// Drop every attempt accumulator of a completed RPC.
-    pub(crate) fn prov_drop_rpc(&mut self, rpc: u64, attempts: u32) {
+    pub(crate) fn drop_rpc(&mut self, rpc: u64, attempts: u32) {
         for idx in 0..attempts {
-            self.prov.attempts.remove(&(rpc, idx));
+            self.attempts.remove(&(rpc, idx));
         }
+    }
+}
+
+impl Simulation {
+    /// Per-request provenance records of the last run (successful roots,
+    /// in completion order; capped at 100k).
+    pub fn request_provenance(&self) -> &[RequestProv] {
+        &self.obs.prov.roots
     }
 }

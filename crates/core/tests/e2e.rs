@@ -160,16 +160,6 @@ fn metrics_report_is_complete_and_queryable() {
 }
 
 #[test]
-fn control_plane_tick_collects_fleet_telemetry() {
-    let mut sim = Simulation::build(tiny_spec(20.0, 5));
-    let _ = sim.run();
-    // The 1 s control tick reported every sidecar at least once.
-    assert!(sim.control().telemetry().len() >= 4);
-    let fleet = sim.control().fleet_telemetry();
-    assert!(fleet.inbound_requests > 0);
-}
-
-#[test]
 fn mid_run_policy_flip_applies_and_converges() {
     let mut sim = Simulation::build(tiny_spec(30.0, 6));
     assert_eq!(sim.policy().converged_version(), 1);

@@ -3,13 +3,12 @@
 //! Fig 1's boxes, as code: configuration management (versioned
 //! [`MeshConfig`] snapshots pulled by sidecars, xDS-style), certificate
 //! management (a toy CA issuing per-pod workload certificates with
-//! rotation), and telemetry aggregation (fleet-wide counters merged from
-//! sidecar reports). Service discovery itself lives in
+//! rotation). Sidecar counters are scraped by the telemetry hub, not
+//! reported here. Service discovery itself lives in
 //! [`meshlayer_cluster::Cluster::endpoints`]; the control plane fronts it
 //! in the simulation driver.
 
 use crate::config::MeshConfig;
-use crate::sidecar::SidecarStats;
 use meshlayer_cluster::PodId;
 use meshlayer_simcore::{SimDuration, SimTime};
 use std::collections::HashMap;
@@ -41,7 +40,6 @@ pub struct ControlPlane {
     next_serial: u64,
     cert_ttl: SimDuration,
     certs: HashMap<PodId, WorkloadCert>,
-    telemetry: HashMap<String, SidecarStats>,
 }
 
 impl ControlPlane {
@@ -53,7 +51,6 @@ impl ControlPlane {
             next_serial: 1,
             cert_ttl: SimDuration::from_secs(24 * 3600),
             certs: HashMap::new(),
-            telemetry: HashMap::new(),
         }
     }
 
@@ -120,25 +117,6 @@ impl ControlPlane {
             self.issue_cert(pod, &service, now);
         }
         n
-    }
-
-    /// A sidecar reports its counters (replacing its previous report).
-    pub fn report_telemetry(&mut self, sidecar_name: &str, stats: SidecarStats) {
-        self.telemetry.insert(sidecar_name.to_string(), stats);
-    }
-
-    /// Fleet-wide merged counters.
-    pub fn fleet_telemetry(&self) -> SidecarStats {
-        let mut total = SidecarStats::default();
-        for s in self.telemetry.values() {
-            total.merge(s);
-        }
-        total
-    }
-
-    /// Per-sidecar telemetry reports.
-    pub fn telemetry(&self) -> &HashMap<String, SidecarStats> {
-        &self.telemetry
     }
 }
 
@@ -239,47 +217,5 @@ mod tests {
             let prev_max = seen[..i * 3].iter().max().unwrap();
             assert!(w.iter().all(|s| s > prev_max), "{seen:?}");
         }
-    }
-
-    #[test]
-    fn telemetry_merge() {
-        let mut cp = ControlPlane::new(MeshConfig::default());
-        let a = SidecarStats {
-            inbound_requests: 10,
-            retries: 2,
-            ..SidecarStats::default()
-        };
-        let b = SidecarStats {
-            inbound_requests: 5,
-            fail_fast: 1,
-            ..SidecarStats::default()
-        };
-        cp.report_telemetry("s1", a);
-        cp.report_telemetry("s2", b);
-        let fleet = cp.fleet_telemetry();
-        assert_eq!(fleet.inbound_requests, 15);
-        assert_eq!(fleet.retries, 2);
-        assert_eq!(fleet.fail_fast, 1);
-        // Re-report replaces, not accumulates.
-        let a2 = SidecarStats {
-            inbound_requests: 11,
-            ..SidecarStats::default()
-        };
-        cp.report_telemetry("s1", a2);
-        assert_eq!(cp.fleet_telemetry().inbound_requests, 16);
-        assert_eq!(cp.telemetry().len(), 2);
-        // Counters absent from the newest report are gone, not sticky:
-        // s1's earlier retries must not survive the replacement.
-        assert_eq!(cp.fleet_telemetry().retries, 0);
-        // A third report keeps the merge idempotent per sidecar.
-        cp.report_telemetry(
-            "s1",
-            SidecarStats {
-                inbound_requests: 11,
-                ..SidecarStats::default()
-            },
-        );
-        assert_eq!(cp.fleet_telemetry().inbound_requests, 16);
-        assert_eq!(cp.telemetry().len(), 2);
     }
 }

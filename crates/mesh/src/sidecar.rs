@@ -36,7 +36,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Counters a sidecar exposes to the control plane.
+/// Counters a sidecar exposes to telemetry scrapes and run reports.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct SidecarStats {
     /// Requests received for the local app.
@@ -60,21 +60,6 @@ pub struct SidecarStats {
     /// packets). Keeps telemetry/SLO views of total load honest when a
     /// class runs at fluid granularity.
     pub fluid_bytes_in: u64,
-}
-
-impl SidecarStats {
-    /// Accumulate another sidecar's counters (fleet aggregation).
-    pub fn merge(&mut self, other: &SidecarStats) {
-        self.inbound_requests += other.inbound_requests;
-        self.outbound_requests += other.outbound_requests;
-        self.retries += other.retries;
-        self.fail_fast += other.fail_fast;
-        self.resp_2xx += other.resp_2xx;
-        self.resp_4xx += other.resp_4xx;
-        self.resp_5xx += other.resp_5xx;
-        self.priority_propagated += other.priority_propagated;
-        self.fluid_bytes_in += other.fluid_bytes_in;
-    }
 }
 
 /// Provenance context remembered per in-flight inbound request.
@@ -1165,23 +1150,5 @@ mod tests {
         assert_eq!(span.tag("status"), Some("200"));
         assert_eq!(span.duration(), SimDuration::from_millis(3));
         assert_eq!(span.service, "frontend");
-    }
-
-    #[test]
-    fn stats_merge() {
-        let mut a = SidecarStats {
-            inbound_requests: 1,
-            retries: 2,
-            ..SidecarStats::default()
-        };
-        let b = SidecarStats {
-            inbound_requests: 3,
-            resp_5xx: 4,
-            ..SidecarStats::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.inbound_requests, 4);
-        assert_eq!(a.retries, 2);
-        assert_eq!(a.resp_5xx, 4);
     }
 }

@@ -106,6 +106,13 @@ impl Topology {
         &self.node_names[n.0 as usize]
     }
 
+    /// A link's name, `from->to` by node name: the one form every report,
+    /// capture and telemetry series names a link by.
+    pub fn link_name(&self, id: LinkId) -> String {
+        let l = self.link(id);
+        format!("{}->{}", self.node_name(l.from()), self.node_name(l.to()))
+    }
+
     /// Add a unidirectional link, returning its id. Discards the routing
     /// table.
     pub fn add_link(
