@@ -12,7 +12,7 @@
 //! latency cost model.
 //!
 //! Control plane: [`ControlPlane`] — versioned configuration distribution
-//! (xDS-style pull), certificate management, telemetry aggregation.
+//! (xDS-style pull) and certificate management.
 //!
 //! All state machines here are time-passive: the simulation driver (in
 //! `meshlayer-core`) owns the clock and the network and consults these
