@@ -369,35 +369,6 @@ impl PairPools {
     }
 }
 
-/// Per-pod sidecar counters from the previous telemetry scrape, packed
-/// as structure-of-arrays: the scrape loop reads exactly four counters
-/// per pod, so four dense `u64` lanes replace a hash map of whole
-/// `SidecarStats` structs (and stay cache-friendly at thousands of
-/// pods).
-#[derive(Default)]
-pub(crate) struct ScrapeSidecars {
-    /// Outbound requests at the previous scrape, by pod index.
-    pub(crate) outbound_requests: Vec<u64>,
-    /// Retries at the previous scrape, by pod index.
-    pub(crate) retries: Vec<u64>,
-    /// Fail-fast short-circuits at the previous scrape, by pod index.
-    pub(crate) fail_fast: Vec<u64>,
-    /// 5xx responses observed at the previous scrape, by pod index.
-    pub(crate) resp_5xx: Vec<u64>,
-}
-
-impl ScrapeSidecars {
-    /// Grow every lane to cover `n` pods (new lanes start at zero).
-    pub(crate) fn ensure(&mut self, n: usize) {
-        if self.outbound_requests.len() < n {
-            self.outbound_requests.resize(n, 0);
-            self.retries.resize(n, 0);
-            self.fail_fast.resize(n, 0);
-            self.resp_5xx.resize(n, 0);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::{IdSlab, Slab};
